@@ -5,8 +5,12 @@
 //! (RLE + FNV-1a, version-1 manifests) must restore bit-identically under the new
 //! default configuration — including through an elastic resize.
 
+#[path = "../../ckpt-store/tests/support/seed_lz.rs"]
+mod seed_lz;
+
+use ckpt_store::chunk::for_each_chunk;
 use ckpt_store::codec::{lz_compress, lz_decompress};
-use ckpt_store::{CheckpointStorage, StorageConfig, StoragePolicy};
+use ckpt_store::{CheckpointStorage, Digest, StorageConfig, StoragePolicy, DEFAULT_CHUNK_SIZE};
 use elastic::{resize_job_from_storage, RemapPolicy};
 use mana::{ManaConfig, ManaRank, Session};
 use mana_apps::{
@@ -103,8 +107,22 @@ fn lz_round_trips_every_proxy_app_image_bit_identically() {
     for (app, storage, images) in corpus(StorageConfig::default()) {
         assert_eq!(storage.config(), StorageConfig::default());
         for image in &images {
-            // Direct codec round-trip over the real upper-half bytes of this app.
+            // Direct codec round-trip over the real upper-half bytes of this app, and
+            // stream identity with the original encoder over each region and each
+            // of the region's chunks.
             for (name, data) in image.upper_half.iter() {
+                for_each_chunk(data, DEFAULT_CHUNK_SIZE, Digest::Xx64, |_, piece| {
+                    assert_eq!(
+                        lz_compress(piece),
+                        seed_lz::seed_lz_compress(piece),
+                        "{app:?} {name}"
+                    );
+                });
+                assert_eq!(
+                    lz_compress(data),
+                    seed_lz::seed_lz_compress(data),
+                    "{app:?} region {name}: LZ stream differs from the original encoder's"
+                );
                 if let Some(stream) = lz_compress(data) {
                     assert_eq!(
                         lz_decompress(&stream, data.len()).unwrap(),

@@ -9,15 +9,18 @@
 //! ```
 //!
 //! With no argument (or `all`) every section is produced. `--json` emits the
-//! machine-readable report used to populate EXPERIMENTS.md.
+//! machine-readable form of the same report.
 //!
 //! `ci` runs the quick smoke mode: it measures the `ckpt-store` byte-reduction rows,
+//! the shifted-dirty-region row (one region checkpointed twice with bytes inserted
+//! at its front),
 //! the parallel sharded-vs-serialized write comparison, the typed-session overhead
 //! on the CoMD profile, the async-vs-sync checkpoint stall on the CoMD profile, and
 //! the multi-tenant checkpoint service under load (cross-job dedup, aggregate
 //! throughput, a 100+-job preempt/restart fleet, the cold-tier round trip); writes
 //! `BENCH_ci.json` for the CI artifact upload, and **exits nonzero** if the
 //! incremental-vs-full byte reduction at 1% dirty regresses below the gate (50x),
+//! the shifted region's second checkpoint stores more than 3 chunks anew,
 //! the typed layer costs 5% or more over the raw byte path, the async checkpoint
 //! stall exceeds 50% of the synchronous write wall time, the service's cross-job
 //! dedup falls under 1.5x or its aggregate throughput under 0.7x the single-job
@@ -70,6 +73,10 @@ fn run_ci() -> std::process::ExitCode {
     std::fs::write("BENCH_ci.json", report.render_json()).expect("write BENCH_ci.json");
 
     println!("{}", mana_bench::storage_comparison_note());
+    println!(
+        "{}",
+        mana_bench::shifted_region_note_from(&report.shifted_region)
+    );
     println!(
         "{}",
         mana_bench::parallel_checkpoint_note_from(report.parallel_rows.clone())
@@ -248,6 +255,9 @@ fn main() -> std::process::ExitCode {
     }
     if want("ckpt-store") {
         report.notes.push(mana_bench::storage_comparison_note());
+        report.notes.push(mana_bench::shifted_region_note_from(
+            &mana_bench::measure_shifted_region(),
+        ));
     }
     if want("parallel") {
         report.notes.push(mana_bench::parallel_checkpoint_note());

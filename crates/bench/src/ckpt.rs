@@ -137,6 +137,101 @@ pub fn storage_comparison_note() -> String {
 }
 
 // ----------------------------------------------------------------------
+// Shifted dirty region: content-defined cuts survive an insertion
+// ----------------------------------------------------------------------
+
+/// Bytes of the shifted region: 16 chunks at the default 64 KiB maximum (17 once
+/// the insertion spills past the last fixed boundary).
+pub const SHIFTED_REGION_BYTES: usize = 1 << 20;
+/// Bytes inserted at the region's front between its two checkpoints.
+pub const SHIFTED_INSERT_BYTES: usize = 3;
+/// Most chunks the second checkpoint may store anew.
+pub const SHIFTED_CHUNKS_NEW_GATE: usize = 3;
+
+/// One non-repeating region checkpointed twice, the second time with
+/// [`SHIFTED_INSERT_BYTES`] inserted at its front. Every offset after the insertion
+/// moves; content-defined cuts move with the content, so the chunks past the edit
+/// dedup against the first checkpoint's.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ShiftedRegionReport {
+    /// Region length before the insertion.
+    pub region_bytes: usize,
+    /// Bytes inserted at the region's front.
+    pub inserted_bytes: usize,
+    /// Chunks the second checkpoint stored anew.
+    pub chunks_new: usize,
+    /// Chunks the second checkpoint re-referenced from the first.
+    pub chunks_reused: usize,
+    /// Bytes the second checkpoint wrote: new chunks plus its manifest.
+    pub written_bytes: usize,
+    /// Chunks a fixed-size chunker would have stored anew (all of them: every
+    /// fixed boundary shifts).
+    pub fixed_chunks_new: usize,
+    /// Most chunks the second checkpoint may store anew.
+    pub chunks_new_gate: usize,
+    /// `chunks_new <= chunks_new_gate` and the shifted image read back intact.
+    pub pass: bool,
+}
+
+/// Run the shifted-region checkpoint pair. Deterministic: the region is a fixed
+/// xorshift stream, and cuts are a pure function of content.
+pub fn measure_shifted_region() -> ShiftedRegionReport {
+    let storage = CheckpointStorage::unmetered();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let data: Vec<u8> = (0..SHIFTED_REGION_BYTES)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect();
+    let mut upper = UpperHalfSpace::new();
+    upper.map_region("app.state", data);
+    storage.write_image(StoragePolicy::Incremental, &image_of(0, &upper));
+    upper.mark_clean();
+    upper.advance_epoch();
+
+    upper
+        .region_mut("app.state")
+        .expect("region exists")
+        .splice(0..0, [0xC4u8; SHIFTED_INSERT_BYTES]);
+    let shifted = image_of(1, &upper);
+    let report = storage.write_image(StoragePolicy::Incremental, &shifted);
+    let intact = storage
+        .read(1, 0)
+        .is_ok_and(|back| back.upper_half == shifted.upper_half);
+    ShiftedRegionReport {
+        region_bytes: SHIFTED_REGION_BYTES,
+        inserted_bytes: SHIFTED_INSERT_BYTES,
+        chunks_new: report.chunks_new,
+        chunks_reused: report.chunks_reused,
+        written_bytes: report.written_bytes,
+        fixed_chunks_new: (SHIFTED_REGION_BYTES + SHIFTED_INSERT_BYTES)
+            .div_ceil(ckpt_store::DEFAULT_CHUNK_SIZE),
+        chunks_new_gate: SHIFTED_CHUNKS_NEW_GATE,
+        pass: intact && report.chunks_new <= SHIFTED_CHUNKS_NEW_GATE,
+    }
+}
+
+/// Render a shifted-region measurement for the harness.
+pub fn shifted_region_note_from(report: &ShiftedRegionReport) -> String {
+    format!(
+        "== ckpt-store: shifted dirty region ({} B, {} B inserted at the front) ==\n\
+         second checkpoint: {} chunks new, {} reused, {} B written \
+         (fixed-size chunks: all {} new) — chunks_new gate ≤{} — {}\n",
+        report.region_bytes,
+        report.inserted_bytes,
+        report.chunks_new,
+        report.chunks_reused,
+        report.written_bytes,
+        report.fixed_chunks_new,
+        report.chunks_new_gate,
+        if report.pass { "PASS" } else { "FAIL" }
+    )
+}
+
+// ----------------------------------------------------------------------
 // Parallel checkpoint: sharded store vs serialized baseline
 // ----------------------------------------------------------------------
 
@@ -318,6 +413,16 @@ mod tests {
         assert!(note.contains("full"));
         assert!(note.contains("incremental+comp"));
         assert_eq!(note.lines().count(), 2 + 9);
+    }
+
+    #[test]
+    fn shifted_region_stores_only_the_chunks_at_the_edit() {
+        let report = measure_shifted_region();
+        assert!(report.pass, "{report:?}");
+        assert_eq!(report.fixed_chunks_new, 17);
+        assert!(report.chunks_reused >= 10, "{report:?}");
+        assert_eq!(report, measure_shifted_region(), "deterministic");
+        assert!(shifted_region_note_from(&report).contains("PASS"));
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub use chaos::{
     ChaosSoakConfig, ChaosSoakOutcome, ChaosSoakRow, CHAOS_SOAK_SEEDS,
 };
 pub use ckpt::{
-    measure_parallel_checkpoint, parallel_checkpoint_note, parallel_checkpoint_note_from,
-    parallel_checkpoint_rows, storage_comparison_note, ParallelCkptRow, StorageRow,
+    measure_parallel_checkpoint, measure_shifted_region, parallel_checkpoint_note,
+    parallel_checkpoint_note_from, parallel_checkpoint_rows, shifted_region_note_from,
+    storage_comparison_note, ParallelCkptRow, ShiftedRegionReport, StorageRow,
 };
 pub use collectives::{
     collective_checkpoint_note, collective_checkpoint_note_from, collective_checkpoint_rows,

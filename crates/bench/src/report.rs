@@ -2,7 +2,7 @@
 
 use crate::async_ckpt::AsyncCkptReport;
 use crate::chaos::{ChaosBenchReport, ChaosSoakConfig};
-use crate::ckpt::{ParallelCkptRow, StorageRow};
+use crate::ckpt::{ParallelCkptRow, ShiftedRegionReport, StorageRow};
 use crate::compression::CompressionReport;
 use crate::elastic::{ElasticBenchConfig, ElasticBenchReport};
 use crate::fabric::FabricBenchReport;
@@ -107,7 +107,7 @@ impl Report {
         out
     }
 
-    /// Render as pretty-printed JSON (machine-readable form for EXPERIMENTS.md).
+    /// Render as pretty-printed JSON (the machine-readable form of the report).
     pub fn render_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
@@ -128,6 +128,9 @@ pub struct CiReport {
     pub parallel_speedup: f64,
     /// Minimum acceptable `incremental_reduction_1pct`.
     pub reduction_gate: f64,
+    /// One region checkpointed twice with a few bytes inserted at its front, with
+    /// its `chunks_new ≤ chunks_new_gate` verdict folded into `pass`.
+    pub shifted_region: ShiftedRegionReport,
     /// The typed-session-vs-raw-bytes comparison on the CoMD profile, with its own
     /// `< gate_pct` verdict folded into `pass`.
     pub typed_overhead: TypedOverheadReport,
@@ -187,6 +190,7 @@ impl CiReport {
                 }
             })
             .unwrap_or(0.0);
+        let shifted_region = crate::ckpt::measure_shifted_region();
         let typed_overhead = crate::typed::measure_typed_overhead(crate::TYPED_OVERHEAD_GATE_PCT);
         let async_ckpt = crate::async_ckpt::measure_async_ckpt(
             crate::ASYNC_CKPT_GATE_FRACTION,
@@ -209,6 +213,7 @@ impl CiReport {
         );
         let compression = crate::compression::measure_compression_bench();
         let pass = incremental_reduction_1pct >= reduction_gate
+            && shifted_region.pass
             && typed_overhead.pass
             && async_ckpt.pass
             && service.pass
@@ -222,6 +227,7 @@ impl CiReport {
             incremental_reduction_1pct,
             parallel_speedup,
             reduction_gate,
+            shifted_region,
             typed_overhead,
             async_ckpt,
             service,

@@ -1,12 +1,94 @@
-//! Fixed-size chunking, content digests, and the in-tree RLE codec.
+//! Content-defined chunking, content digests, and the in-tree RLE codec.
+//!
+//! Cut points follow content, not offsets: a gear hash rolls over the data and a
+//! chunk ends where the hash of the last 64 bytes has its top mask bits
+//! clear (the LBFS/FastCDC scheme). Bytes inserted or removed early in a region
+//! therefore move only the cuts next to the edit; every later chunk keeps its
+//! content, its digest and its place in the content-addressed store. Each chunk is
+//! between `chunk_size / 4` and `chunk_size` bytes, except a region's last, which
+//! may be shorter.
 
 use crate::codec::{Digest, StoredForm};
 use mpi_model::error::{MpiError, MpiResult};
 use serde::{Deserialize, Serialize};
 
-/// Default chunk size: 64 KiB balances dedup granularity against per-chunk overhead
-/// (digest + manifest entry) for the multi-MiB upper halves of Table 3.
+/// Default chunk size — the hard maximum a content-defined cut may reach: 64 KiB
+/// balances dedup granularity against per-chunk overhead (digest + manifest entry)
+/// for the multi-MiB upper halves of Table 3.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
+
+/// Bytes the gear hash remembers: each step shifts the hash left by one bit, so a
+/// byte's contribution is gone 64 steps later.
+const GEAR_WINDOW: usize = 64;
+
+/// Seed of the gear table. Changing it moves every cut point, and with them every
+/// chunk key a store already holds, so it is fixed for good.
+const GEAR_SEED: u64 = 0x6765_6172_6364_6331;
+
+/// One pseudo-random 64-bit value per byte value, from SplitMix64.
+static GEAR: [u64; 256] = gear_table(GEAR_SEED);
+
+const fn gear_table(seed: u64) -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut state = seed;
+    let mut i = 0;
+    while i < table.len() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        table[i] = z ^ (z >> 31);
+        i += 1;
+    }
+    table
+}
+
+/// The cut parameters derived from one `chunk_size`.
+struct Cuts {
+    min: usize,
+    max: usize,
+    /// Top bits of the gear hash that must all be clear for a cut. The top bits mix
+    /// the whole window; the low bits see only the last few bytes.
+    mask: u64,
+}
+
+impl Cuts {
+    fn new(chunk_size: usize) -> Cuts {
+        let max = chunk_size.max(1);
+        let min = (max / 4).max(1);
+        // A cut is then expected about `min` bytes past the minimum, so chunks
+        // average roughly half the maximum and few are forced at the maximum.
+        let bits = min.ilog2();
+        let mask = if bits == 0 {
+            0
+        } else {
+            u64::MAX << (64 - bits)
+        };
+        Cuts { min, max, mask }
+    }
+
+    /// Length of the chunk that starts at the front of `data`.
+    fn next_len(&self, data: &[u8]) -> usize {
+        if data.len() <= self.min {
+            return data.len();
+        }
+        let end = data.len().min(self.max);
+        // Warm the hash on the window before the minimum, so that every candidate
+        // cut depends on the content of its window alone, not on where the chunk
+        // began.
+        let mut hash = 0u64;
+        for &byte in &data[self.min.saturating_sub(GEAR_WINDOW)..self.min] {
+            hash = (hash << 1).wrapping_add(GEAR[byte as usize]);
+        }
+        for (offset, &byte) in data[self.min..end].iter().enumerate() {
+            hash = (hash << 1).wrapping_add(GEAR[byte as usize]);
+            if hash & self.mask == 0 {
+                return self.min + offset + 1;
+            }
+        }
+        end
+    }
+}
 
 /// One chunk reference inside a region manifest: enough to find the chunk in the
 /// store and to verify it end-to-end after reassembly.
@@ -34,18 +116,23 @@ impl ChunkRef {
     }
 }
 
-/// Split `data` into fixed-size chunks and hand `(digest, slice)` pairs to `visit` in
-/// order, addressing each chunk with `digest_fn`. The final chunk may be short; empty
-/// data yields no chunks.
+/// Split `data` at content-defined cut points and hand `(digest, slice)` pairs to
+/// `visit` in order, addressing each chunk with `digest_fn`. Every chunk is between
+/// `chunk_size / 4` and `chunk_size` bytes except the last, which may be shorter;
+/// empty data yields no chunks. The cuts are a pure function of `data` and
+/// `chunk_size`.
 pub fn for_each_chunk(
     data: &[u8],
     chunk_size: usize,
     digest_fn: Digest,
     mut visit: impl FnMut(u64, &[u8]),
 ) {
-    debug_assert!(chunk_size > 0);
-    for piece in data.chunks(chunk_size.max(1)) {
+    let cuts = Cuts::new(chunk_size);
+    let mut rest = data;
+    while !rest.is_empty() {
+        let (piece, tail) = rest.split_at(cuts.next_len(rest));
         visit(digest_fn.hash(piece), piece);
+        rest = tail;
     }
 }
 
@@ -147,24 +234,83 @@ pub fn rle_decompress(stream: &[u8], expected_len: usize) -> MpiResult<Vec<u8>> 
 mod tests {
     use super::*;
 
+    /// Deterministic non-repeating bytes: the low byte of successive gear tables.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        (0..len.div_ceil(256) as u64)
+            .flat_map(|block| gear_table(seed ^ (block << 32)).map(|word| word as u8))
+            .take(len)
+            .collect()
+    }
+
+    fn pieces(data: &[u8], chunk_size: usize) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for_each_chunk(data, chunk_size, Digest::Xx64, |_, piece| {
+            out.push(piece.to_vec())
+        });
+        out
+    }
+
     #[test]
     fn chunking_covers_all_bytes_in_order() {
-        let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
-        for digest_fn in [Digest::Fnv1a64, Digest::Xx64] {
-            let mut reassembled = Vec::new();
-            let mut count = 0;
-            for_each_chunk(&data, 128, digest_fn, |digest, piece| {
-                assert_eq!(digest, digest_fn.hash(piece));
-                reassembled.extend_from_slice(piece);
-                count += 1;
-            });
-            assert_eq!(reassembled, data);
-            assert_eq!(count, 3); // 128 + 128 + 44
+        let data = noise(2048 * 8, 7);
+        for chunk_size in [128, 1000, 4096] {
+            for digest_fn in [Digest::Fnv1a64, Digest::Xx64] {
+                let mut reassembled = Vec::new();
+                let mut lens = Vec::new();
+                for_each_chunk(&data, chunk_size, digest_fn, |digest, piece| {
+                    assert_eq!(digest, digest_fn.hash(piece));
+                    reassembled.extend_from_slice(piece);
+                    lens.push(piece.len());
+                });
+                assert_eq!(reassembled, data);
+                // Every piece but the last lies in [chunk_size / 4, chunk_size].
+                let (last, body) = lens.split_last().expect("non-empty data chunks");
+                assert!(*last >= 1 && *last <= chunk_size);
+                for &len in body {
+                    assert!((chunk_size / 4..=chunk_size).contains(&len), "{len}");
+                }
+                // Content, not offsets, decides the cuts: some fall short of the max.
+                assert!(body.iter().any(|&len| len < chunk_size), "{lens:?}");
+            }
+            // Cuts are deterministic.
+            assert_eq!(pieces(&data, chunk_size), pieces(&data, chunk_size));
         }
 
         let mut none = 0;
         for_each_chunk(&[], 128, Digest::Xx64, |_, _| none += 1);
         assert_eq!(none, 0);
+        // Degenerate sizes still cover the data, one byte at a time at size 1.
+        assert_eq!(
+            pieces(b"abc", 1),
+            vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]
+        );
+        assert_eq!(pieces(b"abc", 0).concat(), b"abc");
+    }
+
+    #[test]
+    fn an_insertion_moves_only_the_cuts_next_to_it() {
+        let data = noise(64 * 1024, 11);
+        let before = pieces(&data, 1024);
+        let mut shifted = b"xyz".to_vec();
+        shifted.extend_from_slice(&data);
+        let after = pieces(&shifted, 1024);
+        let kept = after.iter().filter(|piece| before.contains(piece)).count();
+        assert!(
+            after.len() - kept <= 3,
+            "{} of {} pieces changed",
+            after.len() - kept,
+            after.len()
+        );
+    }
+
+    #[test]
+    fn uniform_bytes_cut_at_the_maximum() {
+        // A constant byte drives the gear hash to a fixed point, so runs are cut
+        // either always at the first candidate or, as with this table, at the max.
+        let lens: Vec<usize> = pieces(&[0u8; 10_000], 1024).iter().map(Vec::len).collect();
+        let (last, body) = lens.split_last().unwrap();
+        assert!(body.iter().all(|&len| len == 1024), "{lens:?}");
+        assert_eq!(body.iter().sum::<usize>() + last, 10_000);
     }
 
     #[test]

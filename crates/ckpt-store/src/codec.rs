@@ -3,9 +3,9 @@
 //! The store's wire-visible knobs live in [`StorageConfig`]: which compressor a
 //! compressing policy uses ([`Codec`]) and which content-address digest chunks are
 //! keyed and validated by ([`Digest`]). The defaults are the strongest pair (LZ +
-//! XXH64); [`StorageConfig::legacy`] reproduces the pre-codec store (RLE + FNV-1a)
-//! byte for byte, which is what keeps old checkpoint images restorable — see the
-//! manifest's version negotiation ([`crate::manifest`]).
+//! XXH64); [`StorageConfig::legacy`] selects the pre-codec pair (RLE + FNV-1a) and
+//! so writes version-1 manifests, which every reader restores — see the manifest's
+//! version negotiation ([`crate::manifest`]).
 //!
 //! ## LZ stream format (self-framed, byte-exact)
 //!
@@ -140,8 +140,9 @@ impl Default for StorageConfig {
 }
 
 impl StorageConfig {
-    /// The pre-codec store's behaviour: RLE + FNV-1a/64. A store configured this way
-    /// writes version-1 manifests bit-identical to what older builds produced.
+    /// The pre-codec store's codec and digest: RLE + FNV-1a/64. A store configured
+    /// this way writes version-1 manifests, which every reader restores (chunk cuts
+    /// are content-defined under every configuration).
     pub fn legacy() -> Self {
         StorageConfig {
             codec: Codec::Rle,
@@ -169,24 +170,65 @@ const HASH_BUCKETS: usize = 1 << 13;
 /// bounds worst-case encode time on adversarial data.
 const MAX_CHAIN_DEPTH: usize = 32;
 
+/// Chain terminator for the `u32` position tables.
+const NO_POSITION: u32 = u32::MAX;
+
+/// The four bytes of `data` starting at `at`, as a little-endian word (caller
+/// guarantees them).
+#[inline]
+fn word4_at(data: &[u8], at: usize) -> u32 {
+    let mut word = [0u8; 4];
+    word.copy_from_slice(&data[at..at + 4]);
+    u32::from_le_bytes(word)
+}
+
+/// The eight bytes of `data` starting at `at`, as a little-endian word (caller
+/// guarantees them).
+#[inline]
+fn word8_at(data: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
 #[inline]
 fn hash4(bytes: &[u8], at: usize) -> usize {
     // Multiplicative hash of the 4 bytes starting at `at` (caller guarantees them).
-    let v = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - 13)) as usize & (HASH_BUCKETS - 1)
+    (word4_at(bytes, at).wrapping_mul(0x9E37_79B1) >> (32 - 13)) as usize & (HASH_BUCKETS - 1)
+}
+
+/// Length of the common prefix of `data[earlier..]` and `data[at..]`, capped at
+/// `limit` (caller guarantees `at + limit <= data.len()` and `earlier < at`). Compares
+/// a word at a time: the first differing byte is the lowest set bit of the XOR.
+#[inline]
+fn match_len(data: &[u8], earlier: usize, at: usize, limit: usize) -> usize {
+    let mut len = 0usize;
+    while len + 8 <= limit {
+        let diff = word8_at(data, earlier + len) ^ word8_at(data, at + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && data[earlier + len] == data[at + len] {
+        len += 1;
+    }
+    len
 }
 
 /// LZ-compress `data`; returns `None` unless the compressed form is strictly smaller
 /// (incompressible chunks are stored raw, exactly like the RLE codec's contract).
+/// Inputs of 4 GiB or more are never compressed: chunk lengths are `u32` anyway.
 pub fn lz_compress(data: &[u8]) -> Option<Vec<u8>> {
-    if data.len() < MIN_MATCH {
+    if data.len() < MIN_MATCH || data.len() >= NO_POSITION as usize {
         return None;
     }
     let mut out = Vec::with_capacity(data.len() / 2);
     // head[h] = most recent position hashing to h; prev[i] = previous position in
-    // i's chain. usize::MAX marks "no entry".
-    let mut head = vec![usize::MAX; HASH_BUCKETS];
-    let mut prev = vec![usize::MAX; data.len()];
+    // i's chain; NO_POSITION marks "no entry". Positions fit u32 (checked above),
+    // which halves the tables' footprint against usize.
+    let mut head = vec![NO_POSITION; HASH_BUCKETS];
+    let mut prev = vec![NO_POSITION; data.len()];
     let mut literal_start = 0usize;
     let mut i = 0usize;
     while i + MIN_MATCH <= data.len() {
@@ -196,24 +238,29 @@ pub fn lz_compress(data: &[u8]) -> Option<Vec<u8>> {
         let mut best_distance = 0usize;
         let mut candidate = head[bucket];
         let mut depth = 0;
-        while candidate != usize::MAX && depth < MAX_CHAIN_DEPTH {
-            let distance = i - candidate;
+        let limit = data.len() - i;
+        while candidate != NO_POSITION && depth < MAX_CHAIN_DEPTH {
+            let earlier = candidate as usize;
+            let distance = i - earlier;
             if distance > MAX_DISTANCE {
                 break; // chains are position-ordered: older entries are farther
             }
-            let limit = data.len() - i;
-            let mut len = 0usize;
-            while len < limit && data[candidate + len] == data[i + len] {
-                len += 1;
-            }
-            if len > best_len {
-                best_len = len;
-                best_distance = distance;
-                if len == limit {
-                    break;
+            // A candidate matters only if it beats `best_len` and reaches MIN_MATCH,
+            // so it must agree on the four bytes ending at max(best_len, 3)
+            // (in bounds: best_len < limit, as a full match stops the search).
+            // This probe rejects most candidates without a full comparison.
+            let probe = best_len.saturating_sub(MIN_MATCH - 1);
+            if word4_at(data, earlier + probe) == word4_at(data, i + probe) {
+                let len = match_len(data, earlier, i, limit);
+                if len > best_len {
+                    best_len = len;
+                    best_distance = distance;
+                    if len == limit {
+                        break;
+                    }
                 }
             }
-            candidate = prev[candidate];
+            candidate = prev[earlier];
             depth += 1;
         }
         if best_len >= MIN_MATCH {
@@ -239,13 +286,13 @@ pub fn lz_compress(data: &[u8]) -> Option<Vec<u8>> {
             for position in i..(i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1)) {
                 let bucket = hash4(data, position);
                 prev[position] = head[bucket];
-                head[bucket] = position;
+                head[bucket] = position as u32;
             }
             i += best_len;
             literal_start = i;
         } else {
             prev[i] = head[bucket];
-            head[bucket] = i;
+            head[bucket] = i as u32;
             i += 1;
         }
         if out.len() + (i - literal_start) >= data.len() {
@@ -314,12 +361,18 @@ pub fn lz_decompress(stream: &[u8], expected_len: usize) -> MpiResult<Vec<u8>> {
                     out.len()
                 )));
             }
-            // Byte-at-a-time: a distance shorter than the length is an overlapping
-            // copy that replicates the last `distance` bytes (the RLE case).
+            // A distance shorter than the length is an overlapping copy that
+            // replicates the last `distance` bytes (the RLE case). Everything from
+            // `start` on is then periodic in `distance`, so copying from `start` in
+            // pieces of what already exists — distance, 2×distance, 4×… bytes —
+            // reproduces the byte-at-a-time result; a non-overlapping match is one
+            // piece.
             let start = out.len() - distance;
-            for offset in 0..len {
-                let byte = out[start + offset];
-                out.push(byte);
+            let mut remaining = len;
+            while remaining > 0 {
+                let piece = (out.len() - start).min(remaining);
+                out.extend_from_within(start..start + piece);
+                remaining -= piece;
             }
         }
         if out.len() > expected_len {

@@ -5,10 +5,11 @@
 //! cost is dominated by how many bytes reach the filesystem.
 //!
 //! The flat [`split_proc::store::CheckpointStore`] writes every rank's complete image
-//! every generation. This engine instead decomposes an image into fixed-size chunks
+//! every generation. This engine instead decomposes an image into content-defined chunks
 //! addressed by content digest and shares them across generations and ranks:
 //!
-//! * **Chunk store** ([`chunk`]) — fixed-size chunking, 64-bit content digests,
+//! * **Chunk store** ([`chunk`]) — content-defined chunking (gear-hash cuts, each
+//!   chunk between a quarter of the chunk size and the chunk size), 64-bit content digests,
 //!   reference-counted chunk entries, optional per-chunk compression. A chunk
 //!   whose digest is already stored costs zero new bytes, whoever wrote it first.
 //! * **Codec selection** ([`codec`]) — which compressor (RLE or the in-tree LZ) and
@@ -16,7 +17,8 @@
 //!   [`CheckpointStorage::with_config`]. Reads are config-independent: every
 //!   manifest records the digest and per-chunk stored form it was written with, so
 //!   images from any earlier configuration restore bit-identically
-//!   ([`StorageConfig::legacy`] reproduces the pre-codec store exactly).
+//!   ([`StorageConfig::legacy`] writes the pre-codec RLE + FNV-1a version-1
+//!   manifests, which every reader restores).
 //! * **Dirty-region tracking** — [`split_proc::address_space::UpperHalfSpace`] records
 //!   which regions were touched since the previous checkpoint epoch; clean regions are
 //!   re-referenced from the previous generation's manifest without even re-hashing

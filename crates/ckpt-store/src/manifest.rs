@@ -26,6 +26,12 @@
 //! raw/RLE encodes byte-identically to what pre-codec builds wrote, so a store
 //! running [`crate::codec::StorageConfig::legacy`] produces images old readers still
 //! accept, and images written before the codec switch decode unchanged here.
+//!
+//! The chunk size field records the largest chunk the writer's content-defined
+//! chunker could cut (fixed-size chunks, as older builds cut them, satisfy the same
+//! bound). Past the CRC, [`Manifest::decode`] checks structure: every chunk's raw
+//! length lies in `1..=chunk size`, and a region's chunk lengths sum to its length.
+//! Those two bounds cap what a read allocates on the manifest's word.
 
 use crate::chunk::ChunkRef;
 use crate::codec::{Digest, StoredForm};
@@ -66,7 +72,8 @@ pub struct Manifest {
     /// Digest function the chunks were content-addressed with. Version-1 manifests
     /// decode with [`Digest::Fnv1a64`] (the only digest that existed then).
     pub digest: Digest,
-    /// Chunk size used when the image was split.
+    /// Largest chunk the image was split into (the chunker's maximum); decoding
+    /// rejects any chunk above it.
     pub chunk_size: u32,
     /// Regions in name order.
     pub regions: Vec<RegionManifest>,
@@ -195,9 +202,19 @@ impl Manifest {
             let reused = cursor.u8()? != 0;
             let chunk_count = cursor.u32()? as usize;
             let mut chunks = Vec::with_capacity(chunk_count.min(1 << 16));
+            let mut chunked_len = 0u64;
             for _ in 0..chunk_count {
                 let chunk_digest = cursor.u64()?;
                 let raw_len = cursor.u32()?;
+                // Bound every chunk by the manifest's chunk size: it is what a read
+                // pre-allocates to decode the chunk.
+                if raw_len == 0 || raw_len > chunk_size {
+                    return Err(MpiError::Checkpoint(format!(
+                        "chunk of region {name:?} claims {raw_len} bytes, outside \
+                         1..={chunk_size} (the manifest's chunk size)"
+                    )));
+                }
+                chunked_len += u64::from(raw_len);
                 let stored_len = cursor.u32()?;
                 let flags = cursor.u8()?;
                 let form = if version >= VERSION_CURRENT {
@@ -221,6 +238,13 @@ impl Manifest {
                     stored_len,
                     form,
                 });
+            }
+            // The chunks must tile the region exactly: its recorded length is what a
+            // read pre-allocates to reassemble it.
+            if chunked_len != len {
+                return Err(MpiError::Checkpoint(format!(
+                    "region {name:?} records {len} bytes but its chunks hold {chunked_len}"
+                )));
             }
             regions.push(RegionManifest {
                 name,
@@ -365,6 +389,53 @@ mod tests {
         let crc = crc32(&encoded[..payload_end]);
         encoded[payload_end..].copy_from_slice(&crc.to_le_bytes());
         assert!(Manifest::decode(&encoded).is_err());
+    }
+
+    /// Decode a hand-edited manifest. The encoder checks no structure and trails
+    /// the bytes with a valid CRC, so only the decoder's structural checks can
+    /// reject them.
+    fn decode_error(manifest: &Manifest) -> String {
+        match Manifest::decode(&manifest.encode()) {
+            Err(MpiError::Checkpoint(message)) => message,
+            other => panic!("crafted manifest not rejected as a checkpoint error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_chunks_outside_the_chunk_size_with_a_valid_crc() {
+        for digest in [Digest::Fnv1a64, Digest::Xx64] {
+            let mut empty_chunk = sample_manifest(digest, StoredForm::Rle);
+            empty_chunk.regions[0].chunks[1].raw_len = 0;
+            empty_chunk.regions[0].len = 65536;
+            assert!(decode_error(&empty_chunk).contains("outside 1..=65536"));
+
+            let mut oversized = sample_manifest(digest, StoredForm::Rle);
+            oversized.regions[0].chunks[0].raw_len = 65537;
+            oversized.regions[0].len = 65537 + 64464;
+            assert!(decode_error(&oversized).contains("claims 65537 bytes"));
+
+            // A shrunken chunk size in the header condemns chunks cut under the old.
+            let mut shrunk = sample_manifest(digest, StoredForm::Rle);
+            shrunk.chunk_size = 4096;
+            assert!(decode_error(&shrunk).contains("outside 1..=4096"));
+        }
+    }
+
+    #[test]
+    fn rejects_regions_whose_chunks_do_not_sum_to_their_length() {
+        // (region index, recorded length): the two-chunk region and the empty one.
+        for (region, len) in [(0, 130_001), (0, 129_999), (0, u64::MAX), (1, 1)] {
+            let mut manifest = sample_manifest(Digest::Xx64, StoredForm::Lz);
+            manifest.regions[region].len = len;
+            let message = decode_error(&manifest);
+            assert!(
+                message.contains(&format!("records {len} bytes")),
+                "{message}"
+            );
+        }
+        // The untouched sample still decodes: the checks reject only what is wrong.
+        let sample = sample_manifest(Digest::Xx64, StoredForm::Lz);
+        assert!(Manifest::decode(&sample.encode()).is_ok());
     }
 
     #[test]

@@ -340,16 +340,17 @@ impl CheckpointStorage {
         }
     }
 
-    /// Override the chunk size (mainly for tests and benches).
+    /// Override the chunk size — the largest chunk a content-defined cut may produce;
+    /// chunks are at least a quarter of it (mainly for tests and benches).
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
+        self.chunk_size = chunk_size.clamp(1, u32::MAX as usize);
         self
     }
 
     /// Override the codec/digest selection for subsequent writes.
-    /// [`StorageConfig::legacy`] reproduces the pre-codec store byte for byte;
-    /// reads always follow each manifest's own record, so images written under a
-    /// different configuration restore unchanged.
+    /// [`StorageConfig::legacy`] writes RLE + FNV-1a version-1 manifests, which every
+    /// reader restores; reads always follow each manifest's own record, so images
+    /// written under a different configuration restore unchanged.
     pub fn with_config(mut self, config: StorageConfig) -> Self {
         self.config = config;
         self
@@ -724,8 +725,10 @@ impl CheckpointStorage {
         // A manifest records one digest function for all its chunks, so clean-region
         // reuse across a digest change would stamp old-digest references into a
         // new-digest manifest and fail validation on read. After a config switch the
-        // first checkpoint re-chunks everything; reuse resumes from then on.
-        .filter(|m| m.digest == self.config.digest);
+        // first checkpoint re-chunks everything; reuse resumes from then on. The
+        // same holds for the chunk size: the manifest's chunk size bounds every
+        // chunk it lists, so reused references must have been cut under ours.
+        .filter(|m| m.digest == self.config.digest && m.chunk_size as usize == self.chunk_size);
 
         let mut regions = Vec::with_capacity(upper.region_count());
         for (name, data) in upper.iter() {

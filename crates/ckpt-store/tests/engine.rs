@@ -779,3 +779,67 @@ fn tenant_views_share_chunks_but_not_catalogs() {
     let restored = second.read(0, 0).unwrap();
     assert_eq!(restored.upper_half, upper);
 }
+
+/// A byte inserted at the front of a dirty region shifts every later offset. The
+/// content-defined cuts follow the content, so only the chunks next to the edit are
+/// stored again; the rest dedup against the previous generation's. (Fixed 64 KiB
+/// chunks would re-store all 16 of this 1 MiB region.)
+#[test]
+fn a_front_insertion_restores_only_the_chunks_next_to_it() {
+    let storage = CheckpointStorage::unmetered();
+    // Non-repeating content (xorshift), so no chunk dedups by accident.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let noise: Vec<u8> = (0..1 << 20)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 24) as u8
+        })
+        .collect();
+    let mut upper = UpperHalfSpace::new();
+    upper.map_region("app.state", noise);
+    let gen0 = storage.write_image(StoragePolicy::Incremental, &image_of(0, 0, &upper));
+    assert_eq!(gen0.chunks_reused, 0);
+    assert!(gen0.chunks_new >= 16, "{gen0:?}");
+    upper.mark_clean();
+    upper.advance_epoch();
+
+    upper.region_mut("app.state").unwrap().insert(0, 0xA5);
+    let image1 = image_of(0, 1, &upper);
+    let gen1 = storage.write_image(StoragePolicy::Incremental, &image1);
+    assert_eq!(gen1.regions_reused, 0, "the region is dirty");
+    assert!(
+        gen1.chunks_new <= 3,
+        "{} of {} chunks re-stored after a one-byte insertion",
+        gen1.chunks_new,
+        gen1.chunks_new + gen1.chunks_reused
+    );
+    assert!(gen1.written_bytes * 4 < gen0.written_bytes, "{gen1:?}");
+    assert_eq!(storage.read(1, 0).unwrap().upper_half, image1.upper_half);
+}
+
+/// Clean-region reuse copies the previous manifest's chunk references, and a
+/// manifest bounds every chunk by its own chunk size. A store whose chunk size
+/// differs from the previous manifest's must therefore re-chunk clean regions, or
+/// it would write a manifest its own reader rejects.
+#[test]
+fn clean_region_reuse_requires_the_same_chunk_size() {
+    let storage = CheckpointStorage::unmetered();
+    let mut upper = synthetic_upper(0, 4, 64 * 1024);
+    storage.write_image(StoragePolicy::Incremental, &image_of(0, 0, &upper));
+    upper.mark_clean();
+    upper.advance_epoch();
+
+    let smaller = storage.clone().with_chunk_size(4096);
+    let gen1 = smaller.write_image(StoragePolicy::Incremental, &image_of(0, 1, &upper));
+    assert_eq!(gen1.regions_reused, 0, "{gen1:?}");
+    assert_eq!(storage.read(1, 0).unwrap().upper_half, upper);
+    upper.mark_clean();
+    upper.advance_epoch();
+
+    // Same chunk size again: reuse resumes.
+    let gen2 = smaller.write_image(StoragePolicy::Incremental, &image_of(0, 2, &upper));
+    assert_eq!(gen2.regions_reused, 4, "{gen2:?}");
+    assert_eq!(storage.read(2, 0).unwrap().upper_half, upper);
+}

@@ -27,13 +27,17 @@ fn checkpoint_generations(
             let me = session.world_rank();
             let world = session.world()?;
 
-            // High multiplier bits: aperiodic over the whole region (low-bit
-            // patterns repeat every 2^(9+8) bytes and would self-dedup), offset
-            // per rank so ranks do not share chunks either.
+            // A xorshift stream seeded per rank: aperiodic over the whole region,
+            // and unrelated between ranks, so neither self-dedups nor shares
+            // chunks. (A multiplicative progression offset per rank is one stream
+            // seen at two offsets, and content-defined cuts find the overlap.)
+            let mut state = 0x2545_F491_4F6C_DD1D_u64 ^ (me as u64 + 1);
             let bulk: Vec<u8> = (0..BULK_BYTES)
-                .map(|i| {
-                    ((i as u64 + me as u64 * 10_000_019).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24)
-                        as u8
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 24) as u8
                 })
                 .collect();
             session.upper_mut().map_region(BULK_REGION, bulk);

@@ -6,8 +6,8 @@
 //! tests share: launching a MANA-wrapped job of rank threads on any of the simulated
 //! MPI implementations.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and per-experiment
-//! index, and `EXPERIMENTS.md` for the paper-vs-reproduced numbers.
+//! See `README.md` for a tour and the paper-vs-reproduced numbers, and `DESIGN.md` for
+//! the system inventory and per-experiment index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
