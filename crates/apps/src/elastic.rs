@@ -22,7 +22,7 @@
 //! [`Repartition::consumes_derived_comms`] and any leftover split communicator from
 //! other code is dropped rather than blocking the resize.
 
-use crate::skeleton::{f64_bits, AppId, AppProfile, RunConfig};
+use crate::skeleton::{AppId, AppProfile, RunConfig};
 use ckpt_store::StoreReport;
 use elastic::{RankMap, Repartition};
 use mana::Session;
@@ -33,22 +33,31 @@ use split_proc::address_space::UpperHalfSpace;
 use split_proc::store::WriteReport;
 use std::collections::HashMap;
 
-/// The upper-half region the elastic runner keeps its whole state in. One fixed name
-/// (the app id lives *inside* the state) so the repartition hook can find it without
-/// knowing which application is running.
+/// The upper-half region holding the elastic runner's JSON state header (the app,
+/// the iteration, the shard→host table and the per-shard element count). One fixed
+/// name (the app id lives *inside* the header) so the repartition hook can find it
+/// without knowing which application is running. Each hosted shard's lattice lives
+/// in its own [`shard_region`].
 pub const STATE_REGION: &str = "app.elastic.state";
+
+/// The upper-half region holding logical shard `logical`'s lattice as raw
+/// little-endian `f64` bit patterns, 8 bytes per element.
+pub fn shard_region(logical: Rank) -> String {
+    format!("{SHARD_REGION_PREFIX}{logical}")
+}
+
+const SHARD_REGION_PREFIX: &str = "app.elastic.shard.";
 
 /// Tag base for the backward (tail) halo direction; forward tags start at 0.
 const BWD_TAG_BASE: Tag = 1_000_000;
 
 /// One logical shard: a fixed slice of the overdecomposed domain, identified by the
 /// rank it would have owned in the original (logical) world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ElasticShard {
     /// The shard's rank in the logical world (`0..logical_world`).
     pub logical_rank: Rank,
-    /// The shard's domain state, bit-exact across checkpoint/restart.
-    #[serde(with = "f64_bits")]
+    /// The shard's domain state, stored in [`shard_region`] bit for bit.
     pub lattice: Vec<f64>,
 }
 
@@ -60,8 +69,10 @@ impl ElasticShard {
 }
 
 /// The elastic runner's complete per-rank state: the global shard→host table plus
-/// the shards this rank hosts. Serialized into [`STATE_REGION`]; every rank carries
-/// the full `hosts` table so any rank's image suffices to describe the partition.
+/// the shards this rank hosts. [`store`](Self::store) writes it as a JSON header in
+/// [`STATE_REGION`] plus one raw [`shard_region`] per hosted shard, and
+/// [`load`](Self::load) reads it back; every rank carries the full `hosts` table so
+/// any rank's header suffices to describe the partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ElasticWorldState {
     /// Which proxy application's profile drives the step.
@@ -72,8 +83,115 @@ pub struct ElasticWorldState {
     pub iteration: u64,
     /// `hosts[l]` is the physical rank currently hosting logical shard `l`.
     pub hosts: Vec<Rank>,
-    /// The shards hosted by this rank, ascending by logical rank.
+    /// Lattice elements of every shard (all shards are the same size).
+    pub shard_elements: usize,
+    /// The shards hosted by this rank, ascending by logical rank. Kept in the
+    /// [`shard_region`]s, not in the JSON header.
+    #[serde(skip)]
     pub shards: Vec<ElasticShard>,
+}
+
+impl ElasticWorldState {
+    /// Load rank `rank`'s state from `upper`, or `None` when `upper` holds no
+    /// elastic state. The header must describe a partition of a `world_size`-rank
+    /// world, and every shard the host table assigns to `rank` must have its
+    /// region, of exactly `shard_elements` elements; anything else is a
+    /// [`MpiError::Checkpoint`].
+    pub fn load(upper: &UpperHalfSpace, rank: Rank, world_size: usize) -> MpiResult<Option<Self>> {
+        let Some(mut state) = Self::load_header(upper)? else {
+            return Ok(None);
+        };
+        if let Some(host) = state
+            .hosts
+            .iter()
+            .find(|&&host| host < 0 || host as usize >= world_size)
+        {
+            return Err(MpiError::Checkpoint(format!(
+                "elastic state assigns a shard to rank {host} in a world of {world_size}"
+            )));
+        }
+        state.shards = (0..state.logical_world as Rank)
+            .filter(|&l| state.hosts[l as usize] == rank)
+            .map(|l| load_shard(upper, l, state.shard_elements))
+            .collect::<MpiResult<_>>()?;
+        Ok(Some(state))
+    }
+
+    /// Write the header into [`STATE_REGION`] and each hosted shard into its
+    /// [`shard_region`], unmapping the regions of shards this rank no longer hosts.
+    pub fn store(&self, upper: &mut UpperHalfSpace) -> MpiResult<()> {
+        if let Some(shard) = self
+            .shards
+            .iter()
+            .find(|s| s.lattice.len() != self.shard_elements)
+        {
+            return Err(MpiError::Internal(format!(
+                "shard {} holds {} elements, the world's shards hold {}",
+                shard.logical_rank,
+                shard.lattice.len(),
+                self.shard_elements
+            )));
+        }
+        let hosted: Vec<String> = self
+            .shards
+            .iter()
+            .map(|s| shard_region(s.logical_rank))
+            .collect();
+        let stale: Vec<String> = upper
+            .region_names()
+            .into_iter()
+            .filter(|name| {
+                name.starts_with(SHARD_REGION_PREFIX) && !hosted.iter().any(|h| h == name)
+            })
+            .map(str::to_string)
+            .collect();
+        for name in stale {
+            upper.unmap_region(&name)?;
+        }
+        for (shard, region) in self.shards.iter().zip(&hosted) {
+            upper.store_f64s(region, &shard.lattice);
+        }
+        upper.store_json(STATE_REGION, self)
+    }
+
+    /// The header alone (no shards), checked for internal consistency.
+    fn load_header(upper: &UpperHalfSpace) -> MpiResult<Option<Self>> {
+        if !upper.contains(STATE_REGION) {
+            return Ok(None);
+        }
+        let state: ElasticWorldState = upper.load_json(STATE_REGION)?;
+        if state.hosts.len() != state.logical_world || state.shard_elements == 0 {
+            return Err(MpiError::Checkpoint(format!(
+                "elastic state names {} logical shards of {} elements but maps {} hosts",
+                state.logical_world,
+                state.shard_elements,
+                state.hosts.len()
+            )));
+        }
+        Ok(Some(state))
+    }
+}
+
+/// Read logical shard `logical`'s lattice from `upper`, which must hold exactly
+/// `elements` values.
+fn load_shard(upper: &UpperHalfSpace, logical: Rank, elements: usize) -> MpiResult<ElasticShard> {
+    let region = shard_region(logical);
+    if !upper.contains(&region) {
+        return Err(MpiError::Checkpoint(format!(
+            "elastic shard {logical} is assigned here but its region {region:?} is missing"
+        )));
+    }
+    let lattice = upper.load_f64s(&region)?;
+    if lattice.len() != elements {
+        return Err(MpiError::Checkpoint(format!(
+            "elastic shard {logical} holds {} elements, the header records {elements}",
+            lattice.len()
+        )));
+    }
+    Ok(ElasticShard {
+        logical_rank: logical,
+        lattice,
+    })
 }
 
 /// What one rank reports after an elastic run.
@@ -142,6 +260,7 @@ fn init_state(
         logical_world: world_size,
         iteration: 0,
         hosts: (0..world_size as Rank).collect(),
+        shard_elements: elements,
         shards,
     }
 }
@@ -150,8 +269,9 @@ fn init_state(
 ///
 /// On a fresh world this decomposes into `world_size` logical shards (one per rank).
 /// On a restored world — same size or resized through [`elastic::resize_job`] with
-/// [`SkeletonRepartition`] — it picks up the shard table from [`STATE_REGION`] and
-/// continues; the final shard checksums are identical either way.
+/// [`SkeletonRepartition`] — it picks up its state through
+/// [`ElasticWorldState::load`] and continues; the final shard checksums are
+/// identical either way.
 pub fn run_elastic(
     profile: &AppProfile,
     session: &mut Session,
@@ -160,27 +280,10 @@ pub fn run_elastic(
     let me = session.world_rank();
     let world_size = session.world_size();
 
-    let mut state: ElasticWorldState = if session.upper().contains(STATE_REGION) {
-        session.upper().load_json(STATE_REGION)?
-    } else {
-        init_state(profile, world_size, me, config.state_scale)
+    let mut state = match ElasticWorldState::load(session.upper(), me, world_size)? {
+        Some(state) => state,
+        None => init_state(profile, world_size, me, config.state_scale),
     };
-    if state.hosts.len() != state.logical_world {
-        return Err(MpiError::Internal(format!(
-            "elastic state names {} logical shards but maps {} hosts",
-            state.logical_world,
-            state.hosts.len()
-        )));
-    }
-    for shard in &state.shards {
-        let hosted = state.hosts.get(shard.logical_rank as usize).copied();
-        if hosted != Some(me) {
-            return Err(MpiError::Internal(format!(
-                "rank {me} holds shard {} which the host table assigns to {hosted:?}",
-                shard.logical_rank
-            )));
-        }
-    }
 
     let mut checkpoint_report = None;
     let mut incremental_report = None;
@@ -188,7 +291,7 @@ pub fn run_elastic(
         elastic_step(profile, session, &mut state)?;
         state.iteration += 1;
         if config.checkpoint_at == Some(state.iteration) {
-            session.upper_mut().store_json(STATE_REGION, &state)?;
+            state.store(session.upper_mut())?;
             if let Some(storage) = config.storage.as_ref() {
                 let report = session.checkpoint_into(storage)?;
                 checkpoint_report = Some(report.to_write_report());
@@ -201,7 +304,7 @@ pub fn run_elastic(
             }
         }
     }
-    session.upper_mut().store_json(STATE_REGION, &state)?;
+    state.store(session.upper_mut())?;
 
     Ok(ElasticReport {
         app: profile.id,
@@ -216,6 +319,73 @@ pub fn run_elastic(
         checkpoint: checkpoint_report,
         incremental: incremental_report,
     })
+}
+
+/// A minimal step function for a job runtime's step loop over the same logical
+/// shards: one 64-element shard per initial rank (CoMD's app id),
+/// every shard publishing one term through a world allgather and folding all terms
+/// in ascending logical order. The returned check value — the ascending-order fold
+/// of every shard's checksum — has the same bits on every rank for *any* hosting of
+/// the shards, which is what lets a resized run be compared bit for bit against the
+/// uninterrupted one. State goes through [`ElasticWorldState::load`]/
+/// [`store`](ElasticWorldState::store) every step, so [`SkeletonRepartition`]
+/// moves it across a resize.
+pub fn shard_fold_step(session: &mut Session, step: u64) -> MpiResult<u64> {
+    const SHARD_ELEMENTS: usize = 64;
+    let me = session.world_rank();
+    let world_size = session.world_size();
+    let world = session.world()?;
+
+    let mut state = match ElasticWorldState::load(session.upper(), me, world_size)? {
+        Some(state) => state,
+        None => ElasticWorldState {
+            app: AppId::CoMd,
+            logical_world: world_size,
+            iteration: 0,
+            hosts: (0..world_size as Rank).collect(),
+            shard_elements: SHARD_ELEMENTS,
+            shards: vec![ElasticShard {
+                logical_rank: me,
+                lattice: vec![me as f64 + 0.5; SHARD_ELEMENTS],
+            }],
+        },
+    };
+    let n = state.logical_world;
+    let hosts = state.hosts.clone();
+    let term_of = |gathered: &[u64], l: usize, host: Rank| {
+        gathered
+            .get(host as usize * n + l)
+            .copied()
+            .map(f64::from_bits)
+            .ok_or_else(|| MpiError::Internal("allgather returned too few shard terms".into()))
+    };
+
+    let mut terms = vec![0u64; n];
+    for shard in &state.shards {
+        let term = shard.lattice[0] * 0.75 + (step as f64 + 1.0) * 1e-3;
+        terms[shard.logical_rank as usize] = term.to_bits();
+    }
+    let gathered = session.allgather(&terms, world)?;
+    for shard in &mut state.shards {
+        let mut acc = 0.0;
+        for (l, &host) in hosts.iter().enumerate() {
+            acc += term_of(&gathered, l, host)?;
+        }
+        shard.lattice[0] = 0.5 * shard.lattice[0] + 0.25 * acc;
+    }
+    state.iteration = step + 1;
+    state.store(session.upper_mut())?;
+
+    let mut sums = vec![0u64; n];
+    for shard in &state.shards {
+        sums[shard.logical_rank as usize] = shard.checksum().to_bits();
+    }
+    let published = session.allgather(&sums, world)?;
+    let mut check = 0.0;
+    for (l, &host) in hosts.iter().enumerate() {
+        check += term_of(&published, l, host)?;
+    }
+    Ok(check.to_bits())
 }
 
 /// One timestep in logical-shard coordinates. Every phase is ordered by logical
@@ -359,12 +529,7 @@ fn elastic_step(
 
 /// The halo length every shard of this state uses (all shards are the same size).
 fn shard_halo(profile: &AppProfile, state: &ElasticWorldState) -> usize {
-    let len = state
-        .shards
-        .first()
-        .map(|s| s.lattice.len())
-        .unwrap_or(profile.halo_elements);
-    profile.halo_elements.min(len.max(1))
+    profile.halo_elements.min(state.shard_elements.max(1))
 }
 
 fn host_of(hosts: &[Rank], logical: Rank) -> MpiResult<Rank> {
@@ -397,8 +562,9 @@ fn take_halo(
     }
 }
 
-/// The proxy applications' [`Repartition`]: re-buckets the logical shards of every
-/// old rank's [`STATE_REGION`] onto the new world.
+/// The proxy applications' [`Repartition`]: re-buckets the logical shards of the old
+/// world onto the new one, copying each shard's [`shard_region`] from the old rank
+/// that hosted it.
 ///
 /// With `rebalance` set (the default), shards are spread in contiguous blocks over
 /// *all* `M` new ranks, so a grown world puts its fresh ranks to work. Without it,
@@ -424,18 +590,17 @@ impl Repartition for SkeletonRepartition {
         new_rank: Rank,
         upper: &mut UpperHalfSpace,
     ) -> MpiResult<()> {
-        // Any old rank's state describes the whole partition; collect every shard.
-        let template: ElasticWorldState = old
+        // Any old rank's header describes the whole partition.
+        let template = old
             .iter()
-            .find(|u| u.contains(STATE_REGION))
+            .find_map(|u| ElasticWorldState::load_header(u).transpose())
             .ok_or_else(|| {
                 MpiError::ElasticResize(
                     "no elastic application state found in the checkpointed world; only \
                      apps run through run_elastic can be repartitioned"
                         .into(),
                 )
-            })?
-            .load_json(STATE_REGION)?;
+            })??;
         let logical_world = template.logical_world;
 
         let mut new_hosts: Vec<Rank> = Vec::with_capacity(logical_world);
@@ -448,29 +613,29 @@ impl Repartition for SkeletonRepartition {
             new_hosts.push(host);
         }
 
+        // Copy each shard this rank now hosts out of its old host's upper half.
         let mut shards: Vec<ElasticShard> = Vec::new();
-        for space in old {
-            if !space.contains(STATE_REGION) {
+        for (l, (&old_host, &new_host)) in template.hosts.iter().zip(&new_hosts).enumerate() {
+            if new_host != new_rank {
                 continue;
             }
-            let old_state: ElasticWorldState = space.load_json(STATE_REGION)?;
-            for shard in old_state.shards {
-                if new_hosts.get(shard.logical_rank as usize).copied() == Some(new_rank) {
-                    shards.push(shard);
-                }
-            }
+            let space = usize::try_from(old_host)
+                .ok()
+                .and_then(|host| old.get(host))
+                .ok_or_else(|| {
+                    MpiError::Checkpoint(format!(
+                        "elastic shard {l} is hosted by rank {old_host}, outside the old world"
+                    ))
+                })?;
+            shards.push(load_shard(space, l as Rank, template.shard_elements)?);
         }
-        shards.sort_by_key(|s| s.logical_rank);
-        shards.dedup_by_key(|s| s.logical_rank);
 
-        let state = ElasticWorldState {
-            app: template.app,
-            logical_world,
-            iteration: template.iteration,
+        ElasticWorldState {
             hosts: new_hosts,
             shards,
-        };
-        upper.store_json(STATE_REGION, &state)
+            ..template
+        }
+        .store(upper)
     }
 
     /// The elastic runner derives no communicators (parity groups are computed

@@ -35,10 +35,10 @@ pub mod vasp;
 pub mod workloads;
 
 pub use elastic::{
-    job_checksum, run_elastic, ElasticReport, ElasticShard, ElasticWorldState, SkeletonRepartition,
-    STATE_REGION,
+    job_checksum, run_elastic, shard_fold_step, shard_region, ElasticReport, ElasticShard,
+    ElasticWorldState, SkeletonRepartition, STATE_REGION,
 };
-pub use skeleton::{AppId, AppProfile, AppReport, RunConfig};
+pub use skeleton::{AppId, AppProfile, AppReport, RunConfig, StateLayout};
 pub use workloads::{perlmutter_workloads, single_node_workloads, WorkloadSpec};
 
 /// Run the named proxy application *elastically* (logical-shard overdecomposition)

@@ -7,12 +7,18 @@
 //! against a typed [`mana::Session`], keeping *all* application state — including the
 //! typed MPI handles themselves — in the rank's upper-half address space, so a
 //! checkpoint taken mid-run is transparently resumable.
+//!
+//! The state lies in two regions, as it would in a real process's memory: a small
+//! JSON header in [`state_region`] (app, iteration, typed handles, element count)
+//! and the lattice in [`lattice_region`] as raw little-endian `f64`s, 8 bytes per
+//! element.
 
 use ckpt_store::{CheckpointStorage, StoreReport};
 use mana::{Comm, Op, Session};
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
 use serde::{Deserialize, Serialize};
+use split_proc::address_space::UpperHalfSpace;
 use split_proc::store::{CheckpointStore, WriteReport};
 
 /// The five applications of the paper's evaluation, plus the VASP-style proxy added
@@ -190,6 +196,12 @@ pub struct AppReport {
 
 /// The application state stored in the upper half; everything needed to resume.
 ///
+/// It lives in two regions, the way the real application's memory would: a small
+/// JSON header in [`state_region`] (the app, the iteration, the typed MPI handles
+/// and the element count) and the lattice itself in [`lattice_region`], as raw
+/// little-endian `f64` bit patterns — 8 bytes per element, so the header's size is
+/// independent of the state size and a checkpoint/restart round trip is bit-exact.
+///
 /// The MPI handles are stored *typed* (`Comm`, `Op<f64>`): they serialize as the
 /// same virtual-id-bearing values as raw `AppHandle`s, so they survive a
 /// checkpoint/restart identically — with the element type statically attached on
@@ -199,32 +211,99 @@ pub struct AppReport {
 struct SkeletonState {
     app: AppId,
     iteration: u64,
-    /// Serialized as raw IEEE-754 bits so a checkpoint/restart round trip is bit-exact
-    /// (text formatting of floats must not perturb the resumed computation).
-    #[serde(with = "f64_bits")]
+    /// Length of `lattice`; a resume checks the lattice region against it.
+    elements: usize,
+    /// Kept in [`lattice_region`], not in the JSON header.
+    #[serde(skip)]
     lattice: Vec<f64>,
     world: Comm,
     compute_comm: Comm,
     sum_op: Op<f64>,
 }
 
-/// Bit-exact (de)serialization of an `f64` vector through `u64` bit patterns.
-pub(crate) mod f64_bits {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(values: &[f64], serializer: S) -> Result<S::Ok, S::Error> {
-        let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        bits.serialize(serializer)
+impl SkeletonState {
+    /// Load `app`'s state from its two regions. A header without its lattice, or a
+    /// lattice that disagrees with the header's element count, is a checkpoint
+    /// error: the image is not one this runner wrote.
+    fn load(upper: &UpperHalfSpace, app: AppId) -> MpiResult<Self> {
+        let mut state: SkeletonState = upper.load_json(&state_region(app))?;
+        if state.app != app || state.elements == 0 {
+            return Err(MpiError::Checkpoint(format!(
+                "{} state header names app {:?} with {} elements",
+                app.name(),
+                state.app,
+                state.elements
+            )));
+        }
+        let lattice = lattice_region(app);
+        if !upper.contains(&lattice) {
+            return Err(MpiError::Checkpoint(format!(
+                "{} state header present but its lattice region {lattice:?} is missing",
+                app.name()
+            )));
+        }
+        state.lattice = upper.load_f64s(&lattice)?;
+        if state.lattice.len() != state.elements {
+            return Err(MpiError::Checkpoint(format!(
+                "{} lattice holds {} elements, its header records {}",
+                app.name(),
+                state.lattice.len(),
+                state.elements
+            )));
+        }
+        Ok(state)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<Vec<f64>, D::Error> {
-        let bits: Vec<u64> = Vec::deserialize(deserializer)?;
-        Ok(bits.into_iter().map(f64::from_bits).collect())
+    /// Write the header and the lattice back into their regions.
+    fn store(&self, upper: &mut UpperHalfSpace) -> MpiResult<()> {
+        upper.store_f64s(&lattice_region(self.app), &self.lattice);
+        upper.store_json(state_region(self.app), self)
     }
 }
 
-fn state_region(app: AppId) -> String {
+/// The upper-half region holding `app`'s JSON state header.
+pub fn state_region(app: AppId) -> String {
     format!("app.{}.state", app.name().to_lowercase())
+}
+
+/// The upper-half region holding `app`'s lattice as raw little-endian `f64`s.
+pub fn lattice_region(app: AppId) -> String {
+    format!("app.{}.lattice", app.name().to_lowercase())
+}
+
+/// The sizes of one app's state regions in an upper half, read from the header
+/// and the lattice region as they lie.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StateLayout {
+    /// Bytes of the JSON header region.
+    pub header_bytes: usize,
+    /// Bytes of the lattice region.
+    pub lattice_bytes: usize,
+    /// Lattice elements the header records.
+    pub elements: usize,
+}
+
+impl StateLayout {
+    /// Largest header the layout allows: the header holds handles and counters,
+    /// never per-element data.
+    pub const MAX_HEADER_BYTES: usize = 1024;
+
+    /// Measure `app`'s state regions in `upper`.
+    pub fn of(upper: &UpperHalfSpace, app: AppId) -> MpiResult<Self> {
+        let header: SkeletonState = upper.load_json(&state_region(app))?;
+        Ok(StateLayout {
+            header_bytes: upper.region(&state_region(app))?.len(),
+            lattice_bytes: upper.region(&lattice_region(app))?.len(),
+            elements: header.elements,
+        })
+    }
+
+    /// Whether the lattice is stored raw (8 bytes per element) next to a small
+    /// header.
+    pub fn is_raw(&self) -> bool {
+        Some(self.lattice_bytes) == self.elements.checked_mul(8)
+            && self.header_bytes <= Self::MAX_HEADER_BYTES
+    }
 }
 
 /// Execute (or resume) `profile` on `session` according to `config`.
@@ -235,11 +314,10 @@ pub fn run(
 ) -> MpiResult<AppReport> {
     let me = session.world_rank();
     let size = session.world_size() as Rank;
-    let region = state_region(profile.id);
 
     // Resume from the upper half if state is present, otherwise initialize.
-    let mut state: SkeletonState = if session.upper().contains(&region) {
-        session.upper().load_json(&region)?
+    let mut state = if session.upper().contains(&state_region(profile.id)) {
+        SkeletonState::load(session.upper(), profile.id)?
     } else {
         let world = session.world()?;
         let sum_op = Op::sum();
@@ -256,6 +334,7 @@ pub fn run(
         SkeletonState {
             app: profile.id,
             iteration: 0,
+            elements,
             lattice,
             world,
             compute_comm,
@@ -319,7 +398,7 @@ pub fn run(
 
         // Transparent checkpoint, if requested at this timestep.
         if config.checkpoint_at == Some(state.iteration) {
-            session.upper_mut().store_json(&region, &state)?;
+            state.store(session.upper_mut())?;
             if let Some(storage) = config.storage.as_ref() {
                 let report = session.checkpoint_into(storage)?;
                 checkpoint_report = Some(report.to_write_report());
@@ -334,7 +413,7 @@ pub fn run(
     }
 
     // Persist the final state so a later checkpoint (or inspection) sees it.
-    session.upper_mut().store_json(&region, &state)?;
+    state.store(session.upper_mut())?;
 
     let checksum = state.lattice.iter().take(512).sum::<f64>() + state.iteration as f64;
     Ok(AppReport {

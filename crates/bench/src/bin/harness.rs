@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! harness [--json] [table1|table2|table3|ckpt-store|parallel|collectives|typed-overhead|async-ckpt|ckpt-service|chaos|elastic|fabric|compression|figure2|figure3|figure4|cs-rate|validate|all]
+//! harness [--json] [table1|table2|table3|ckpt-store|parallel|collectives|typed-overhead|async-ckpt|ckpt-service|chaos|elastic|fabric|compression|app-state|figure2|figure3|figure4|cs-rate|validate|all]
 //! harness ci
 //! harness chaos-soak
 //! ```
@@ -29,8 +29,10 @@
 //! bit-identically within the recovery-blackout gate, any elastic (resized)
 //! restart fails to reproduce its uninterrupted baseline bit-for-bit, the fabric
 //! breaches its per-crossing latency / stream throughput gates or copies any
-//! payload byte more than once per injected message, or the in-tree LZ codec
-//! writes more bytes than the legacy RLE on any proxy app's checkpoint corpus.
+//! payload byte more than once per injected message, the in-tree LZ codec
+//! writes more bytes than the legacy RLE on any proxy app's checkpoint corpus, or
+//! any proxy app's checkpointed lattice is not raw `f64`s (8 bytes per element)
+//! next to a JSON header of at most 1 KiB.
 //!
 //! `chaos-soak` runs the seeded chaos matrix on its own, writes the combined
 //! per-seed `RecoveryLog` stream to `RECOVERY_log.json` for the CI artifact
@@ -101,6 +103,7 @@ fn run_ci() -> std::process::ExitCode {
     println!("{}", mana_bench::elastic_note_from(&report.elastic));
     println!("{}", mana_bench::fabric_note_from(&report.fabric));
     println!("{}", mana_bench::compression_note_from(&report.compression));
+    println!("{}", mana_bench::app_state_note_from(&report.app_state));
     println!("wrote BENCH_ci.json");
     if report.pass {
         std::process::ExitCode::SUCCESS
@@ -285,6 +288,9 @@ fn main() -> std::process::ExitCode {
     }
     if want("compression") {
         report.notes.push(mana_bench::compression_note());
+    }
+    if want("app-state") {
+        report.notes.push(mana_bench::app_state_note());
     }
     if want("validate") {
         report.validation_runs = validation_runs();

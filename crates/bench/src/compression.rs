@@ -61,7 +61,7 @@ pub struct CompressionReport {
 
 /// Checkpoint `app` on a fresh world and return the images read back from the
 /// store — the same corpus construction the `codec_corpus` acceptance tests use.
-fn checkpoint_app(app: AppId, session_id: u64) -> Vec<CheckpointImage> {
+pub(crate) fn checkpoint_app(app: AppId, session_id: u64) -> Vec<CheckpointImage> {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
     let storage = CheckpointStorage::unmetered();
     let lowers = mpich_sim::MpichFactory::mpich()

@@ -17,10 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use job_runtime::{Backend, JobConfig, JobRuntime, RemapPolicy};
-use mana::Session;
-use mana_apps::{AppId, ElasticShard, ElasticWorldState, SkeletonRepartition, STATE_REGION};
-use mpi_model::error::MpiResult;
-use mpi_model::types::Rank;
+use mana_apps::{shard_fold_step, SkeletonRepartition};
 use serde::{Deserialize, Serialize};
 
 /// Shape of the elastic-restart smoke bench.
@@ -72,59 +69,6 @@ pub struct ElasticBenchReport {
     pub all_match: bool,
     /// Whether the gate passed (`all_match`).
     pub pass: bool,
-}
-
-/// The same logical-shard fold the job-runtime elastic tests use: one shard per
-/// initial rank, every phase ordered by logical rank, so the returned check value
-/// has the same bits for any hosting of the shards.
-fn shard_fold_step(session: &mut Session, step: u64) -> MpiResult<u64> {
-    let me = session.world_rank();
-    let world_size = session.world_size();
-    let world = session.world()?;
-
-    let mut state: ElasticWorldState = if session.upper().contains(STATE_REGION) {
-        session.upper().load_json(STATE_REGION)?
-    } else {
-        ElasticWorldState {
-            app: AppId::CoMd,
-            logical_world: world_size,
-            iteration: 0,
-            hosts: (0..world_size as Rank).collect(),
-            shards: vec![ElasticShard {
-                logical_rank: me,
-                lattice: vec![me as f64 + 0.5; 64],
-            }],
-        }
-    };
-    let n = state.logical_world;
-    let hosts = state.hosts.clone();
-
-    let mut terms = vec![0u64; n];
-    for shard in &state.shards {
-        let term = shard.lattice[0] * 0.75 + (step as f64 + 1.0) * 1e-3;
-        terms[shard.logical_rank as usize] = term.to_bits();
-    }
-    let gathered = session.allgather(&terms, world)?;
-    for shard in &mut state.shards {
-        let mut acc = 0.0;
-        for (l, &host) in hosts.iter().enumerate() {
-            acc += f64::from_bits(gathered[host as usize * n + l]);
-        }
-        shard.lattice[0] = 0.5 * shard.lattice[0] + 0.25 * acc;
-    }
-    state.iteration = step + 1;
-    session.upper_mut().store_json(STATE_REGION, &state)?;
-
-    let mut sums = vec![0u64; n];
-    for shard in &state.shards {
-        sums[shard.logical_rank as usize] = shard.checksum().to_bits();
-    }
-    let published = session.allgather(&sums, world)?;
-    let mut check = 0.0;
-    for (l, &host) in hosts.iter().enumerate() {
-        check += f64::from_bits(published[host as usize * n + l]);
-    }
-    Ok(check.to_bits())
 }
 
 fn measure_case(from: usize, to: usize, config: &ElasticBenchConfig) -> ElasticResizeRow {

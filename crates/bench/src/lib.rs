@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod app_state;
 pub mod async_ckpt;
 pub mod chaos;
 pub mod ckpt;
@@ -71,6 +72,9 @@ pub const FABRIC_CROSSING_GATE_US: f64 = 50.0;
 /// travelling as `PayloadBuf` refcount hand-offs.
 pub const FABRIC_THROUGHPUT_GATE_MIBS: f64 = 100.0;
 
+pub use app_state::{
+    app_state_note, app_state_note_from, measure_app_state, AppStateReport, AppStateRow,
+};
 pub use async_ckpt::{
     async_ckpt_note, async_ckpt_note_from, measure_async_ckpt, AsyncCkptReport, ASYNC_CKPT_ROUNDS,
 };

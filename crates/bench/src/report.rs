@@ -1,5 +1,6 @@
 //! Plain-text and JSON rendering of the harness output.
 
+use crate::app_state::AppStateReport;
 use crate::async_ckpt::AsyncCkptReport;
 use crate::chaos::{ChaosBenchReport, ChaosSoakConfig};
 use crate::ckpt::{ParallelCkptRow, ShiftedRegionReport, StorageRow};
@@ -156,6 +157,9 @@ pub struct CiReport {
     /// The LZ-vs-RLE codec comparison on the real proxy-app checkpoint corpus,
     /// with its LZ-never-loses verdict folded into `pass`.
     pub compression: CompressionReport,
+    /// Every proxy app's upper-half state layout at the CI scale, with its
+    /// raw-lattice verdict folded into `pass`.
+    pub app_state: AppStateReport,
     /// Whether every gate passed.
     pub pass: bool,
 }
@@ -212,6 +216,7 @@ impl CiReport {
             crate::FABRIC_THROUGHPUT_GATE_MIBS,
         );
         let compression = crate::compression::measure_compression_bench();
+        let app_state = crate::app_state::measure_app_state();
         let pass = incremental_reduction_1pct >= reduction_gate
             && shifted_region.pass
             && typed_overhead.pass
@@ -220,7 +225,8 @@ impl CiReport {
             && chaos.pass
             && elastic.pass
             && fabric.pass
-            && compression.pass;
+            && compression.pass
+            && app_state.pass;
         CiReport {
             storage_rows,
             parallel_rows,
@@ -235,6 +241,7 @@ impl CiReport {
             elastic,
             fabric,
             compression,
+            app_state,
             pass,
         }
     }

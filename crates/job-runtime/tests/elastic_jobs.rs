@@ -2,8 +2,9 @@
 //! chained restarts across mixed-size generations, and the self-healing loop
 //! shrinking a world onto the survivors of a node failure.
 //!
-//! The step function folds state over *logical shards* (the same
-//! overdecomposition [`mana_apps::elastic`] uses), so its global check value is
+//! The step function ([`mana_apps::shard_fold_step`]) folds state over *logical
+//! shards* (the same overdecomposition [`mana_apps::elastic`] uses), so its global
+//! check value is
 //! bit-identical no matter how many physical ranks host the shards — which is
 //! what lets every resized run be compared against the uninterrupted baseline.
 
@@ -13,67 +14,10 @@ use std::time::{Duration, Instant};
 use job_runtime::{
     Backend, ChaosPlan, FaultKind, JobConfig, JobRuntime, RecoveryEventKind, RemapPolicy,
 };
-use mana::Session;
-use mana_apps::{AppId, ElasticShard, ElasticWorldState, SkeletonRepartition, STATE_REGION};
-use mpi_model::error::MpiResult;
-use mpi_model::types::Rank;
+use mana_apps::{shard_fold_step, SkeletonRepartition};
 
 const WORLD: usize = 4;
 const STEPS: u64 = 8;
-
-/// One partition-independent step over the logical shards this rank hosts: every
-/// shard publishes a term through a world allgather, folds all terms in ascending
-/// logical order, and the returned check value is the ascending-order fold of all
-/// shard checksums — the same bits on every rank, for every hosting.
-fn shard_fold_step(session: &mut Session, step: u64) -> MpiResult<u64> {
-    let me = session.world_rank();
-    let world_size = session.world_size();
-    let world = session.world()?;
-
-    let mut state: ElasticWorldState = if session.upper().contains(STATE_REGION) {
-        session.upper().load_json(STATE_REGION)?
-    } else {
-        ElasticWorldState {
-            app: AppId::CoMd,
-            logical_world: world_size,
-            iteration: 0,
-            hosts: (0..world_size as Rank).collect(),
-            shards: vec![ElasticShard {
-                logical_rank: me,
-                lattice: vec![me as f64 + 0.5; 64],
-            }],
-        }
-    };
-    let n = state.logical_world;
-    let hosts = state.hosts.clone();
-
-    let mut terms = vec![0u64; n];
-    for shard in &state.shards {
-        let term = shard.lattice[0] * 0.75 + (step as f64 + 1.0) * 1e-3;
-        terms[shard.logical_rank as usize] = term.to_bits();
-    }
-    let gathered = session.allgather(&terms, world)?;
-    for shard in &mut state.shards {
-        let mut acc = 0.0;
-        for (l, &host) in hosts.iter().enumerate() {
-            acc += f64::from_bits(gathered[host as usize * n + l]);
-        }
-        shard.lattice[0] = 0.5 * shard.lattice[0] + 0.25 * acc;
-    }
-    state.iteration = step + 1;
-    session.upper_mut().store_json(STATE_REGION, &state)?;
-
-    let mut sums = vec![0u64; n];
-    for shard in &state.shards {
-        sums[shard.logical_rank as usize] = shard.checksum().to_bits();
-    }
-    let published = session.allgather(&sums, world)?;
-    let mut check = 0.0;
-    for (l, &host) in hosts.iter().enumerate() {
-        check += f64::from_bits(published[host as usize * n + l]);
-    }
-    Ok(check.to_bits())
-}
 
 fn baseline() -> u64 {
     let results = JobRuntime::new(JobConfig::new(WORLD, Backend::Mpich).with_checkpoint_every(2))

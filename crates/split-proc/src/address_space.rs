@@ -219,6 +219,42 @@ impl UpperHalfSpace {
         serde_json::from_slice(bytes)
             .map_err(|e| MpiError::Checkpoint(format!("deserializing region {name:?}: {e}")))
     }
+
+    /// Store `values` into a region as raw little-endian IEEE-754 bit patterns, 8
+    /// bytes per element — the layout an `f64` array has in a real process's memory.
+    /// An existing region's allocation is reused; the region is marked dirty either
+    /// way.
+    pub fn store_f64s(&mut self, name: &str, values: &[f64]) {
+        let data = self.regions.entry(name.to_string()).or_default();
+        data.clear();
+        data.reserve(values.len() * 8);
+        for value in values {
+            data.extend_from_slice(&value.to_le_bytes());
+        }
+        self.dirty.insert(name.to_string());
+    }
+
+    /// Load an `f64` array previously stored with [`store_f64s`], bit for bit. A
+    /// region whose length is not a whole number of elements is rejected.
+    ///
+    /// [`store_f64s`]: UpperHalfSpace::store_f64s
+    pub fn load_f64s(&self, name: &str) -> MpiResult<Vec<f64>> {
+        let bytes = self.region(name)?;
+        if bytes.len() % 8 != 0 {
+            return Err(MpiError::Checkpoint(format!(
+                "region {name:?} holds {} bytes, not a whole number of f64s",
+                bytes.len()
+            )));
+        }
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|word| {
+                let mut le = [0u8; 8];
+                le.copy_from_slice(word);
+                f64::from_le_bytes(le)
+            })
+            .collect())
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +300,67 @@ mod tests {
         let loaded: AppState = space.load_json("app.state").unwrap();
         assert_eq!(loaded, state);
         assert!(space.load_json::<AppState>("missing").is_err());
+    }
+
+    #[test]
+    fn f64_regions_round_trip_bit_for_bit() {
+        let quiet_nan_payload = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let signalling_nan = f64::from_bits(0x7FF0_0000_0000_0001);
+        let negative_nan = f64::from_bits(0xFFF8_0000_0000_1234);
+        let values = [
+            quiet_nan_payload,
+            signalling_nan,
+            negative_nan,
+            -0.0,
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            -f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            1.0 / 3.0,
+        ];
+        let mut space = UpperHalfSpace::new();
+        space.store_f64s("lattice", &values);
+        assert_eq!(space.region("lattice").unwrap().len(), 8 * values.len());
+        assert_eq!(
+            space.region("lattice").unwrap()[..8],
+            quiet_nan_payload.to_bits().to_le_bytes(),
+            "little-endian IEEE-754 bit patterns"
+        );
+        let loaded = space.load_f64s("lattice").unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&loaded), bits(&values));
+
+        space.store_f64s("empty", &[]);
+        assert!(space.contains("empty"));
+        assert!(space.load_f64s("empty").unwrap().is_empty());
+        assert!(space.load_f64s("missing").is_err());
+    }
+
+    #[test]
+    fn storing_f64s_over_a_region_marks_it_dirty() {
+        let mut space = UpperHalfSpace::new();
+        space.store_f64s("lattice", &[1.0, 2.0, 3.0]);
+        assert!(space.is_dirty("lattice"));
+        space.mark_clean();
+        space.store_f64s("lattice", &[4.0]);
+        assert!(
+            space.is_dirty("lattice"),
+            "an overwrite must mark the region dirty"
+        );
+        assert_eq!(space.dirty_bytes(), 8);
+        assert_eq!(space.load_f64s("lattice").unwrap(), vec![4.0]);
+    }
+
+    #[test]
+    fn f64_region_of_a_partial_element_is_rejected() {
+        let mut space = UpperHalfSpace::new();
+        space.map_region("torn", vec![0u8; 12]);
+        match space.load_f64s("torn") {
+            Err(MpiError::Checkpoint(message)) => assert!(message.contains("12 bytes")),
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! survivor's virtual-id tables, counters and ledgers onto the new world,
 //! synthesizes upper halves for any fresh ranks, and lets the
 //! [`SkeletonRepartition`] rebalance the logical shards over the new hosts.
-//! The workload folds every phase in logical-rank order, so the final answer
+//! The workload ([`mana_apps::shard_fold_step`]) folds every phase in
+//! logical-rank order, so the final answer
 //! is bit-identical no matter how many physical ranks host the shards — the
 //! example asserts exactly that for a shrink (8 → 6) and a growth (8 → 12).
 //!
@@ -18,68 +19,12 @@
 use std::sync::Arc;
 
 use job_runtime::{Backend, JobConfig, JobRuntime, RemapPolicy};
-use mana::Session;
-use mana_apps::{AppId, ElasticShard, ElasticWorldState, SkeletonRepartition, STATE_REGION};
+use mana_apps::{shard_fold_step, SkeletonRepartition};
 use mpi_model::error::MpiResult;
-use mpi_model::types::Rank;
 
 const STEPS: u64 = 8;
 const CKPT_EVERY: u64 = 2;
 const KILL_AT: u64 = 3;
-
-/// One step of a partition-independent fold: every rank contributes one term
-/// per logical shard it hosts, the terms travel by allgather, and every fold
-/// walks the logical ranks in ascending order. The returned check value has
-/// the same bits on every rank for *any* hosting of the shards.
-fn shard_fold_step(session: &mut Session, step: u64) -> MpiResult<u64> {
-    let me = session.world_rank();
-    let world_size = session.world_size();
-    let world = session.world()?;
-
-    let mut state: ElasticWorldState = if session.upper().contains(STATE_REGION) {
-        session.upper().load_json(STATE_REGION)?
-    } else {
-        ElasticWorldState {
-            app: AppId::CoMd,
-            logical_world: world_size,
-            iteration: 0,
-            hosts: (0..world_size as Rank).collect(),
-            shards: vec![ElasticShard {
-                logical_rank: me,
-                lattice: vec![me as f64 + 0.5; 64],
-            }],
-        }
-    };
-    let n = state.logical_world;
-    let hosts = state.hosts.clone();
-
-    let mut terms = vec![0u64; n];
-    for shard in &state.shards {
-        let term = shard.lattice[0] * 0.75 + (step as f64 + 1.0) * 1e-3;
-        terms[shard.logical_rank as usize] = term.to_bits();
-    }
-    let gathered = session.allgather(&terms, world)?;
-    for shard in &mut state.shards {
-        let mut acc = 0.0;
-        for (l, &host) in hosts.iter().enumerate() {
-            acc += f64::from_bits(gathered[host as usize * n + l]);
-        }
-        shard.lattice[0] = 0.5 * shard.lattice[0] + 0.25 * acc;
-    }
-    state.iteration = step + 1;
-    session.upper_mut().store_json(STATE_REGION, &state)?;
-
-    let mut sums = vec![0u64; n];
-    for shard in &state.shards {
-        sums[shard.logical_rank as usize] = shard.checksum().to_bits();
-    }
-    let published = session.allgather(&sums, world)?;
-    let mut check = 0.0;
-    for (l, &host) in hosts.iter().enumerate() {
-        check += f64::from_bits(published[host as usize * n + l]);
-    }
-    Ok(check.to_bits())
-}
 
 /// Checkpoint at `from` ranks, preempt, resume the same generation at `to`.
 fn resize_case(from: usize, to: usize) -> MpiResult<()> {
