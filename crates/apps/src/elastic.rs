@@ -30,7 +30,6 @@ use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::{Rank, Tag};
 use serde::{Deserialize, Serialize};
 use split_proc::address_space::UpperHalfSpace;
-use split_proc::store::WriteReport;
 use std::collections::HashMap;
 
 /// The upper-half region holding the elastic runner's JSON state header (the app,
@@ -208,11 +207,8 @@ pub struct ElasticReport {
     /// `(logical_rank, checksum)` for every shard this rank hosts. A fresh rank that
     /// was never assigned work reports an empty list.
     pub shard_checksums: Vec<(Rank, f64)>,
-    /// The write report of the checkpoint taken during this run, if any.
-    pub checkpoint: Option<WriteReport>,
-    /// The storage engine's detailed report, when the checkpoint went through
-    /// `ckpt-store`.
-    pub incremental: Option<StoreReport>,
+    /// The storage engine's report of the checkpoint taken during this run, if any.
+    pub checkpoint: Option<StoreReport>,
 }
 
 /// Fold a job's per-rank reports into one partition-independent job checksum: the
@@ -285,23 +281,13 @@ pub fn run_elastic(
         None => init_state(profile, world_size, me, config.state_scale),
     };
 
-    let mut checkpoint_report = None;
-    let mut incremental_report = None;
+    let mut checkpoint = None;
     while state.iteration < config.iterations {
         elastic_step(profile, session, &mut state)?;
         state.iteration += 1;
         if config.checkpoint_at == Some(state.iteration) {
             state.store(session.upper_mut())?;
-            if let Some(storage) = config.storage.as_ref() {
-                let report = session.checkpoint_into(storage)?;
-                checkpoint_report = Some(report.to_write_report());
-                incremental_report = Some(report);
-            } else {
-                let store = config.store.as_ref().ok_or_else(|| {
-                    MpiError::Checkpoint("checkpoint requested without a checkpoint store".into())
-                })?;
-                checkpoint_report = Some(session.checkpoint(store)?);
-            }
+            checkpoint = Some(config.checkpoint(session)?);
         }
     }
     state.store(session.upper_mut())?;
@@ -316,8 +302,7 @@ pub fn run_elastic(
             .iter()
             .map(|s| (s.logical_rank, s.checksum()))
             .collect(),
-        checkpoint: checkpoint_report,
-        incremental: incremental_report,
+        checkpoint,
     })
 }
 

@@ -19,7 +19,6 @@ use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::Rank;
 use serde::{Deserialize, Serialize};
 use split_proc::address_space::UpperHalfSpace;
-use split_proc::store::{CheckpointStore, WriteReport};
 
 /// The five applications of the paper's evaluation, plus the VASP-style proxy added
 /// for the plane-wave-DFT workload shape (the paper's §1 motivating class of codes
@@ -124,13 +123,9 @@ pub struct RunConfig {
     pub state_scale: f64,
     /// Take a transparent checkpoint after completing this timestep.
     pub checkpoint_at: Option<u64>,
-    /// Legacy flat checkpoint store (the paper's baseline write path). Used when
-    /// `checkpoint_at` is set and no `storage` engine is configured.
-    pub store: Option<CheckpointStore>,
-    /// The `ckpt-store` storage engine. When set, checkpoints go through
-    /// [`Session::checkpoint_into`] under the rank's configured
-    /// [`mana::StoragePolicy`], enabling incremental/compressed writes. Takes
-    /// precedence over `store`.
+    /// The `ckpt-store` storage engine the checkpoint at `checkpoint_at` goes into,
+    /// through [`Session::checkpoint`] under the rank's configured
+    /// [`mana::StoragePolicy`] (full image, incremental or compressed).
     pub storage: Option<CheckpointStorage>,
 }
 
@@ -140,7 +135,6 @@ impl Default for RunConfig {
             iterations: 10,
             state_scale: 1e-4,
             checkpoint_at: None,
-            store: None,
             storage: None,
         }
     }
@@ -155,18 +149,19 @@ impl RunConfig {
         }
     }
 
-    /// Add a checkpoint at the given timestep (legacy flat store).
-    pub fn with_checkpoint(mut self, at: u64, store: CheckpointStore) -> Self {
-        self.checkpoint_at = Some(at);
-        self.store = Some(store);
-        self
-    }
-
     /// Add a checkpoint at the given timestep through the storage engine.
     pub fn with_engine_checkpoint(mut self, at: u64, storage: CheckpointStorage) -> Self {
         self.checkpoint_at = Some(at);
         self.storage = Some(storage);
         self
+    }
+
+    /// Take the checkpoint `checkpoint_at` asks for, into `storage`.
+    pub(crate) fn checkpoint(&self, session: &mut Session) -> MpiResult<StoreReport> {
+        let storage = self.storage.as_ref().ok_or_else(|| {
+            MpiError::Checkpoint("checkpoint requested without a storage engine".into())
+        })?;
+        session.checkpoint(storage)
     }
 }
 
@@ -186,12 +181,9 @@ pub struct AppReport {
     pub checksum: f64,
     /// Per-rank state size in bytes.
     pub state_bytes: usize,
-    /// The write report of the checkpoint taken during this run, if any (for engine
-    /// checkpoints, `bytes` is the bytes physically written).
-    pub checkpoint: Option<WriteReport>,
-    /// The storage engine's detailed report, when the checkpoint went through
-    /// `ckpt-store` (logical vs written bytes, chunk reuse, compression savings).
-    pub incremental: Option<StoreReport>,
+    /// The storage engine's report of the checkpoint taken during this run, if any
+    /// (logical vs written bytes, chunk reuse, compression savings).
+    pub checkpoint: Option<StoreReport>,
 }
 
 /// The application state stored in the upper half; everything needed to resume.
@@ -343,8 +335,7 @@ pub fn run(
     };
 
     let halo = profile.halo_elements.min(state.lattice.len().max(1));
-    let mut checkpoint_report = None;
-    let mut incremental_report = None;
+    let mut checkpoint = None;
 
     while state.iteration < config.iterations {
         let step = state.iteration;
@@ -399,16 +390,7 @@ pub fn run(
         // Transparent checkpoint, if requested at this timestep.
         if config.checkpoint_at == Some(state.iteration) {
             state.store(session.upper_mut())?;
-            if let Some(storage) = config.storage.as_ref() {
-                let report = session.checkpoint_into(storage)?;
-                checkpoint_report = Some(report.to_write_report());
-                incremental_report = Some(report);
-            } else {
-                let store = config.store.as_ref().ok_or_else(|| {
-                    MpiError::Checkpoint("checkpoint requested without a checkpoint store".into())
-                })?;
-                checkpoint_report = Some(session.checkpoint(store)?);
-            }
+            checkpoint = Some(config.checkpoint(session)?);
         }
     }
 
@@ -423,8 +405,7 @@ pub fn run(
         crossings: session.crossings(),
         checksum,
         state_bytes: state.lattice.len() * 8,
-        checkpoint: checkpoint_report,
-        incremental: incremental_report,
+        checkpoint,
     })
 }
 

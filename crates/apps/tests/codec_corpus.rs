@@ -47,7 +47,6 @@ fn run_config(storage: Option<CheckpointStorage>) -> RunConfig {
         iterations: ITERATIONS,
         state_scale: SCALE,
         checkpoint_at: storage.as_ref().map(|_| CKPT_AT),
-        store: None,
         storage,
     }
 }
@@ -316,7 +315,6 @@ fn elastic_resize_works_across_codec_generations() {
         iterations,
         state_scale: 1e-9,
         checkpoint_at,
-        store: None,
         storage,
     };
     let run_elastic = |world: usize,

@@ -28,7 +28,6 @@ fn config(
         iterations,
         state_scale: 1e-9,
         checkpoint_at,
-        store: None,
         storage,
     }
 }

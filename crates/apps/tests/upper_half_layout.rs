@@ -41,13 +41,12 @@ fn mana_config() -> ManaConfig {
     ManaConfig::new_design().with_storage(StoragePolicy::IncrementalCompressed)
 }
 
-fn run_config(checkpoint_into: Option<CheckpointStorage>) -> RunConfig {
+fn run_config(storage: Option<CheckpointStorage>) -> RunConfig {
     RunConfig {
         iterations: ITERATIONS,
         state_scale: SCALE,
-        checkpoint_at: checkpoint_into.as_ref().map(|_| CKPT_AT),
-        store: None,
-        storage: checkpoint_into,
+        checkpoint_at: storage.as_ref().map(|_| CKPT_AT),
+        storage,
     }
 }
 

@@ -2,6 +2,7 @@
 //! function of how many point-to-point messages are in flight when the checkpoint
 //! request arrives.
 
+use ckpt_store::CheckpointStorage;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mana::{ManaConfig, ManaRank};
 use mpi_model::api::MpiImplementationFactory;
@@ -9,7 +10,6 @@ use mpi_model::constants::PredefinedObject;
 use mpi_model::datatype::PrimitiveType;
 use mpi_model::op::UserFunctionRegistry;
 use parking_lot::RwLock;
-use split_proc::store::CheckpointStore;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// collective checkpoint. Returns the number of messages rank 1 buffered.
 fn checkpoint_with_inflight(inflight: usize) -> usize {
     let registry = Arc::new(RwLock::new(UserFunctionRegistry::new()));
-    let store = CheckpointStore::unmetered();
+    let storage = CheckpointStorage::unmetered();
     let lowers = mpich_sim::MpichFactory::mpich()
         .launch(2, registry.clone(), 1)
         .unwrap();
@@ -25,7 +25,7 @@ fn checkpoint_with_inflight(inflight: usize) -> usize {
         .into_iter()
         .map(|lower| {
             let registry = registry.clone();
-            let store = store.clone();
+            let storage = storage.clone();
             std::thread::spawn(move || {
                 let mut rank = ManaRank::new(lower, ManaConfig::new_design(), registry).unwrap();
                 let world = rank.world().unwrap();
@@ -37,7 +37,7 @@ fn checkpoint_with_inflight(inflight: usize) -> usize {
                         rank.send(&[i as u8; 64], byte, 1, 3, world).unwrap();
                     }
                 }
-                rank.checkpoint(&store).unwrap();
+                rank.checkpoint(&storage).unwrap();
                 rank.buffered_messages()
             })
         })

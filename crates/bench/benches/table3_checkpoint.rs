@@ -3,12 +3,11 @@
 //! the `ckpt-store` engine's full vs incremental vs incremental+compressed write
 //! paths at 1% / 10% / 100% dirty regions.
 
-use ckpt_store::{CheckpointStorage, StoragePolicy};
+use ckpt_store::{CheckpointStorage, StoragePolicy, StoreConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mana_apps::workloads::single_node_workloads;
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use split_proc::store::{CheckpointStore, StoreConfig};
 use std::hint::black_box;
 
 fn image_with(bytes: usize) -> CheckpointImage {
@@ -38,11 +37,11 @@ fn bench_table3(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("checkpoint_store_write");
-    let store = CheckpointStore::new(StoreConfig::nfs_discovery());
+    let storage = CheckpointStorage::with_model(StoreConfig::nfs_discovery());
     for kb in [64usize, 1024] {
         let image = image_with(kb * 1024);
         group.bench_with_input(BenchmarkId::from_parameter(kb), &image, |b, image| {
-            b.iter(|| black_box(store.write(0, image)))
+            b.iter(|| black_box(storage.write_image(StoragePolicy::FullImage, image)))
         });
     }
     group.finish();

@@ -1,6 +1,6 @@
 //! Asynchronous checkpoint flush: what a rank *stalls* vs what the flush *costs*.
 //!
-//! The synchronous `write_checkpoint_into` stalls a rank for the full
+//! The synchronous `write_checkpoint` stalls a rank for the full
 //! chunk/hash/compress/store work of its image. The asynchronous split
 //! (`snapshot_checkpoint` + `FlusherPool`) stalls the rank only for the snapshot — a
 //! memory copy of the upper half — and performs the expensive write on a flusher
@@ -42,7 +42,7 @@ pub struct AsyncCkptReport {
     /// Checkpoint rounds measured per path.
     pub rounds: usize,
     /// Fastest per-checkpoint rank stall under the synchronous write (ms): the full
-    /// `write_checkpoint_into` wall time.
+    /// `write_checkpoint` wall time.
     pub sync_stall_ms: f64,
     /// Fastest per-checkpoint rank stall under the async split (ms): snapshot +
     /// submit, nothing else.
@@ -124,7 +124,7 @@ pub fn measure_async_ckpt(gate_fraction: f64, rounds: usize) -> AsyncCkptReport 
         dirty_state(&mut sync_rank, round);
         let start = Instant::now();
         sync_rank
-            .write_checkpoint_into(&sync_storage)
+            .write_checkpoint(&sync_storage)
             .expect("sync write");
         let sync_s = start.elapsed().as_secs_f64();
 
@@ -133,7 +133,7 @@ pub fn measure_async_ckpt(gate_fraction: f64, rounds: usize) -> AsyncCkptReport 
         dirty_state(&mut async_rank, round);
         let start = Instant::now();
         let handle = async_rank
-            .write_checkpoint_async(&pool)
+            .write_checkpoint_async(&pool, |_| {})
             .expect("async snapshot");
         let async_s = start.elapsed().as_secs_f64();
         handle.wait();
@@ -185,7 +185,7 @@ pub fn async_ckpt_note_from(report: &AsyncCkptReport) -> String {
     );
     note.push_str(&format!(
         "{:<28} {:>14.2} {:>18.2}\n",
-        "sync write_checkpoint_into", report.sync_stall_ms, report.sync_stall_ms
+        "sync write_checkpoint", report.sync_stall_ms, report.sync_stall_ms
     ));
     note.push_str(&format!(
         "{:<28} {:>14.2} {:>18.2}\n",

@@ -9,7 +9,8 @@
 //! ```
 //!
 //! With no argument (or `all`) every section is produced. `--json` emits the
-//! machine-readable form of the same report.
+//! machine-readable form of the same report. An unknown section name is an error:
+//! the harness names the valid ones and exits nonzero.
 //!
 //! `ci` runs the quick smoke mode: it measures the `ckpt-store` byte-reduction rows,
 //! the shifted-dirty-region row (one region checkpointed twice with bytes inserted
@@ -47,6 +48,57 @@ use mana_bench::runner::{run_small_scale, SmallScaleConfig};
 
 /// Minimum acceptable incremental-vs-full byte reduction at 1% dirty.
 const CI_REDUCTION_GATE: f64 = 50.0;
+
+/// Every report section, in the order the report prints them.
+const SECTIONS: [&str; 19] = [
+    "table1",
+    "table2",
+    "figure2",
+    "figure3",
+    "figure4",
+    "cs-rate",
+    "table3",
+    "ckpt-store",
+    "parallel",
+    "collectives",
+    "typed-overhead",
+    "async-ckpt",
+    "ckpt-service",
+    "chaos",
+    "elastic",
+    "fabric",
+    "compression",
+    "app-state",
+    "validate",
+];
+
+/// Names accepted besides the sections: `all`, and the two standalone modes.
+const OTHER_NAMES: [&str; 3] = ["all", "ci", "chaos-soak"];
+
+/// The non-flag arguments, each checked against [`SECTIONS`] and [`OTHER_NAMES`];
+/// an error message names the unknown ones and every valid name.
+fn selection(args: &[String]) -> Result<Vec<&str>, String> {
+    let names: Vec<&str> = args
+        .iter()
+        .filter(|a| !a.starts_with("--"))
+        .map(String::as_str)
+        .collect();
+    let unknown: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|name| !SECTIONS.contains(name) && !OTHER_NAMES.contains(name))
+        .collect();
+    if unknown.is_empty() {
+        Ok(names)
+    } else {
+        Err(format!(
+            "unknown harness section(s): {}\nvalid: {}, {}",
+            unknown.join(", "),
+            SECTIONS.join(", "),
+            OTHER_NAMES.join(", ")
+        ))
+    }
+}
 
 /// The `harness chaos-soak` mode: run the seeded soak, write the combined
 /// recovery-log artifact, gate on blackout + bit-identity.
@@ -195,11 +247,13 @@ fn validation_runs() -> Vec<mana_bench::SmallScaleResult> {
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let selections: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.as_str())
-        .collect();
+    let selections = match selection(&args) {
+        Ok(selections) => selections,
+        Err(message) => {
+            eprintln!("{message}");
+            return std::process::ExitCode::from(2);
+        }
+    };
     if selections.contains(&"ci") {
         return run_ci();
     }
@@ -302,4 +356,34 @@ fn main() -> std::process::ExitCode {
         println!("{}", report.render_text());
     }
     std::process::ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(names: &[&str]) -> Vec<String> {
+        names.iter().map(|name| name.to_string()).collect()
+    }
+
+    #[test]
+    fn selection_accepts_every_known_name_and_skips_flags() {
+        assert!(selection(&[]).unwrap().is_empty());
+        let all: Vec<&str> = SECTIONS.iter().chain(&OTHER_NAMES).copied().collect();
+        assert_eq!(selection(&args(&all)).unwrap(), all);
+        assert_eq!(
+            selection(&args(&["--json", "ckpt-store"])).unwrap(),
+            vec!["ckpt-store"]
+        );
+    }
+
+    #[test]
+    fn selection_rejects_unknown_names_and_lists_the_valid_ones() {
+        let message = selection(&args(&["ckpt-store", "no-such-section", "tabel3"])).unwrap_err();
+        assert!(message.contains("no-such-section, tabel3"), "{message}");
+        assert!(!message.contains("section(s): ckpt-store"), "{message}");
+        for name in SECTIONS.iter().chain(&OTHER_NAMES) {
+            assert!(message.contains(name), "{name} missing from: {message}");
+        }
+    }
 }

@@ -8,11 +8,10 @@
 //! after dirtying 1%, 10%, or 100% of the regions since generation G, and measured
 //! wall time for the parallel write phase.
 
-use ckpt_store::{CheckpointStorage, StoragePolicy, StoreReport, DEFAULT_SHARD_COUNT};
+use ckpt_store::{CheckpointStorage, StoragePolicy, StoreConfig, StoreReport, DEFAULT_SHARD_COUNT};
 use serde::{Deserialize, Serialize};
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use split_proc::store::StoreConfig;
 use std::sync::{Arc, Mutex};
 
 /// Number of equally sized regions in the synthetic upper half.

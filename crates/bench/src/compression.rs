@@ -75,7 +75,6 @@ pub(crate) fn checkpoint_app(app: AppId, session_id: u64) -> Vec<CheckpointImage
                 iterations: ITERATIONS,
                 state_scale: STATE_SCALE,
                 checkpoint_at: Some(CHECKPOINT_AT),
-                store: None,
                 storage: Some(storage.clone()),
             };
             std::thread::spawn(move || {

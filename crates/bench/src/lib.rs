@@ -42,7 +42,7 @@ pub mod typed;
 pub const TYPED_OVERHEAD_GATE_PCT: f64 = 5.0;
 
 /// Maximum acceptable per-checkpoint rank stall under the asynchronous flush,
-/// as a fraction of the synchronous `write_checkpoint_into` wall time (the
+/// as a fraction of the synchronous `write_checkpoint` wall time (the
 /// acceptance gate of the async checkpoint split).
 pub const ASYNC_CKPT_GATE_FRACTION: f64 = 0.5;
 

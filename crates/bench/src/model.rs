@@ -255,7 +255,7 @@ pub struct CheckpointRow {
 
 /// Reproduce Table 3 from the store's filesystem model.
 pub fn table3_rows(specs: &[WorkloadSpec]) -> Vec<CheckpointRow> {
-    let store = split_proc::store::StoreConfig::nfs_discovery();
+    let store = ckpt_store::StoreConfig::nfs_discovery();
     specs
         .iter()
         .map(|spec| {

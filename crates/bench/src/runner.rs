@@ -108,7 +108,6 @@ pub fn run_small_scale(
                     iterations: config.iterations,
                     state_scale: config.state_scale,
                     checkpoint_at: None,
-                    store: None,
                     storage: None,
                 },
                 11,
@@ -127,7 +126,6 @@ pub fn run_small_scale(
                     iterations: halfway,
                     state_scale: config.state_scale,
                     checkpoint_at: Some(halfway),
-                    store: None,
                     storage: Some(storage.clone()),
                 },
                 12,
@@ -135,14 +133,14 @@ pub fn run_small_scale(
             )?;
             let ckpt_bytes = first_half
                 .iter()
-                .filter_map(|r| r.checkpoint.as_ref().map(|c| c.bytes as u64))
+                .filter_map(|r| r.checkpoint.as_ref().map(|c| c.written_bytes as u64))
                 .max()
                 .unwrap_or(0);
             let ckpt_logical_bytes = first_half
                 .iter()
-                .filter_map(|r| r.incremental.as_ref().map(|c| c.logical_bytes as u64))
+                .filter_map(|r| r.checkpoint.as_ref().map(|c| c.logical_bytes as u64))
                 .max()
-                .unwrap_or(ckpt_bytes);
+                .unwrap_or(0);
 
             let new_lowers = factory.launch(config.ranks, registry.clone(), 13)?;
             let (restarted, _generation) =
@@ -151,7 +149,6 @@ pub fn run_small_scale(
                 iterations: config.iterations,
                 state_scale: config.state_scale,
                 checkpoint_at: None,
-                store: None,
                 storage: None,
             };
             let mut resumed = job_runtime::run_world(restarted, move |_, rank| {
@@ -171,7 +168,6 @@ pub fn run_small_scale(
                     iterations: config.iterations,
                     state_scale: config.state_scale,
                     checkpoint_at: None,
-                    store: None,
                     storage: None,
                 },
                 21,

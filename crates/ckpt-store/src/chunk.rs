@@ -17,6 +17,12 @@ use serde::{Deserialize, Serialize};
 /// for the multi-MiB upper halves of Table 3.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
+/// The largest chunk size a store may be configured with or a manifest may claim
+/// (16 × the default). A read pre-allocates each region by the sizes its chunks
+/// claim, so without this bound a CRC-valid crafted manifest could ask for 4 GiB
+/// per chunk entry before a single chunk is fetched.
+pub const MAX_CHUNK_SIZE: usize = 16 * DEFAULT_CHUNK_SIZE;
+
 /// Bytes the gear hash remembers: each step shifts the hash left by one bit, so a
 /// byte's contribution is gone 64 steps later.
 const GEAR_WINDOW: usize = 64;

@@ -4,9 +4,10 @@
 //! reproduction — the subsystem behind the paper's Table 3 observation that checkpoint
 //! cost is dominated by how many bytes reach the filesystem.
 //!
-//! The flat [`split_proc::store::CheckpointStore`] writes every rank's complete image
-//! every generation. This engine instead decomposes an image into content-defined chunks
-//! addressed by content digest and shares them across generations and ranks:
+//! A flat checkpoint writes every rank's complete image every generation
+//! ([`StoragePolicy::FullImage`]). The incremental policies instead decompose an image
+//! into content-defined chunks addressed by content digest and share them across
+//! generations and ranks:
 //!
 //! * **Chunk store** ([`chunk`]) — content-defined chunking (gear-hash cuts, each
 //!   chunk between a quarter of the chunk size and the chunk size), 64-bit content digests,
@@ -40,6 +41,9 @@
 //! * **Cold tier** ([`tier`]) — least-recently-referenced chunks can be spilled to
 //!   CRC-framed files ([`CheckpointStorage::spill_over`]) and are transparently
 //!   promoted — with CRC re-validation — when a read needs them.
+//! * **Write-time model** ([`StoreConfig`]) — Table 3's NFSv3 per-rank bandwidth
+//!   model; [`CheckpointStorage::with_model`] applies it to the bytes each write
+//!   stores.
 //!
 //! The engine is selected through [`StoragePolicy`] (a `ManaConfig` knob in the MANA
 //! layer): `FullImage` preserves the legacy flat-image baseline — mirroring the
@@ -56,13 +60,13 @@ pub mod manifest;
 pub mod store;
 pub mod tier;
 
-pub use chunk::{ChunkRef, DEFAULT_CHUNK_SIZE};
+pub use chunk::{ChunkRef, DEFAULT_CHUNK_SIZE, MAX_CHUNK_SIZE};
 pub use codec::{Codec, Digest, StorageConfig, StoredForm};
 pub use flush::{FlushHandle, FlusherPool};
 pub use manifest::{Manifest, RegionManifest};
 pub use store::{
-    CheckpointStorage, PruneReport, ShardStats, SpillReport, StorageStats, StoreReport,
-    DEFAULT_SHARD_COUNT,
+    CheckpointStorage, PruneReport, ShardStats, SpillReport, StorageStats, StoreConfig,
+    StoreReport, DEFAULT_SHARD_COUNT,
 };
 pub use tier::ColdTier;
 
@@ -72,8 +76,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StoragePolicy {
     /// The legacy baseline: one flat, CRC-validated image per `(generation, rank)`,
-    /// with no sharing across generations. Mirrors what the flat
-    /// `split_proc::store::CheckpointStore` wrote.
+    /// with no sharing across generations: the bytes of
+    /// [`CheckpointImage::encode`](split_proc::image::CheckpointImage::encode).
     FullImage,
     /// Content-addressed chunking with dirty-region reuse: only regions touched since
     /// the previous generation are re-chunked, and only chunks whose digest is new

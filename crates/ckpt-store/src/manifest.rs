@@ -33,7 +33,7 @@
 //! length lies in `1..=chunk size`, and a region's chunk lengths sum to its length.
 //! Those two bounds cap what a read allocates on the manifest's word.
 
-use crate::chunk::ChunkRef;
+use crate::chunk::{ChunkRef, MAX_CHUNK_SIZE};
 use crate::codec::{Digest, StoredForm};
 use crate::StoragePolicy;
 use mpi_model::error::{MpiError, MpiResult};
@@ -186,6 +186,12 @@ impl Manifest {
         let upper_epoch = cursor.u64()?;
         let policy = policy_from_tag(cursor.u8()?)?;
         let chunk_size = cursor.u32()?;
+        if chunk_size as usize > MAX_CHUNK_SIZE {
+            return Err(MpiError::Checkpoint(format!(
+                "manifest claims a chunk size of {chunk_size} bytes, above the \
+                 {MAX_CHUNK_SIZE}-byte maximum"
+            )));
+        }
         let digest = if version >= VERSION_CURRENT {
             Digest::from_tag(cursor.u8()?)?
         } else {
@@ -419,6 +425,17 @@ mod tests {
             shrunk.chunk_size = 4096;
             assert!(decode_error(&shrunk).contains("outside 1..=4096"));
         }
+    }
+
+    #[test]
+    fn rejects_a_chunk_size_above_the_maximum_with_a_valid_crc() {
+        let mut huge = sample_manifest(Digest::Xx64, StoredForm::Lz);
+        huge.chunk_size = u32::MAX;
+        assert!(decode_error(&huge).contains("above the"));
+
+        let mut largest = sample_manifest(Digest::Xx64, StoredForm::Lz);
+        largest.chunk_size = MAX_CHUNK_SIZE as u32;
+        assert!(Manifest::decode(&largest.encode()).is_ok());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Engine-level tests for the incremental, content-addressed checkpoint store:
 //! round-trips, dedup, dirty-region reuse, compression, integrity fallback, and GC.
 
-use ckpt_store::{CheckpointStorage, StoragePolicy};
+use ckpt_store::{CheckpointStorage, StoragePolicy, StoreConfig};
 use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use split_proc::store::StoreConfig;
 
 fn metadata(rank: i32, generation: u64) -> ImageMetadata {
     ImageMetadata {
@@ -42,16 +41,30 @@ fn image_of(rank: i32, generation: u64, upper: &UpperHalfSpace) -> CheckpointIma
 fn full_image_policy_roundtrips() {
     let storage = CheckpointStorage::unmetered();
     let upper = synthetic_upper(0, 4, 10_000);
-    let report = storage.write_image(StoragePolicy::FullImage, &image_of(0, 0, &upper));
+    let image = image_of(0, 0, &upper);
+    let report = storage.write_image(StoragePolicy::FullImage, &image);
     assert_eq!(report.policy, StoragePolicy::FullImage);
+    // The flat image is exactly the encoded image, byte for byte.
+    assert_eq!(report.written_bytes, image.encoded_len());
     assert!(report.written_bytes >= report.logical_bytes);
     assert_eq!(report.chunks_new, 0);
+    assert_eq!(
+        report.effective_bandwidth_mb_s(),
+        None,
+        "an unmetered store must not fabricate a bandwidth figure"
+    );
 
     let back = storage.read(0, 0).unwrap();
     assert_eq!(back.upper_half, upper);
     assert!(storage.contains(0, 0));
     assert!(!storage.contains(1, 0));
     assert!(storage.read(0, 1).is_err());
+
+    // Pruning drops the older flat image and keeps the newer one.
+    storage.write_image(StoragePolicy::FullImage, &image_of(0, 1, &upper));
+    assert_eq!(storage.prune_before(1).pruned, vec![0]);
+    assert_eq!(storage.generations(), vec![1]);
+    assert_eq!(storage.stats().full_image_count, 1);
 }
 
 #[test]
@@ -350,14 +363,14 @@ fn metered_incremental_writes_model_less_time_than_full() {
         full.write_time_s
     );
     assert!(gen1.effective_bandwidth_mb_s().unwrap() > 0.0);
-    assert_eq!(gen1.to_write_report().bytes, gen1.written_bytes);
+    // The flat image is metered on its whole encoded size.
+    assert!(full.written_bytes >= full.logical_bytes);
+    assert!(full.effective_bandwidth_mb_s().unwrap() > 0.0);
 
-    // An unmetered write has no bandwidth — `None`, not a fabricated zero — and the
-    // legacy-report view propagates the same honesty.
+    // An unmetered write has no bandwidth — `None`, not a fabricated zero.
     let unmetered = CheckpointStorage::unmetered();
     let report = unmetered.write_image(StoragePolicy::Incremental, &image_of(0, 0, &upper));
     assert_eq!(report.effective_bandwidth_mb_s(), None);
-    assert_eq!(report.to_write_report().effective_bandwidth_mb_s, None);
 }
 
 /// Hammer the prune/write race the sharded engine must survive: writers keep

@@ -85,7 +85,7 @@ fn checkpoint_with_world_dup(registry: &Registry, storage: &CheckpointStorage) {
             session.send(&[me as u64], (me + 1).rem_euclid(4), 7, world)?;
             let (got, _) = session.recv::<u64>(1, (me - 1).rem_euclid(4), 7, world)?;
             assert_eq!(got, vec![(me - 1).rem_euclid(4) as u64]);
-            session.checkpoint_into(&storage)?;
+            session.checkpoint(&storage)?;
             Ok(())
         }
     });
@@ -125,7 +125,7 @@ fn world_dup_survives_a_shrink_with_remapped_membership() {
             // A checkpoint of the resized world must pass the collective
             // epoch-agreement check (merged ledgers) and the drain protocol
             // (merged counters).
-            session.checkpoint_into(&after)?;
+            session.checkpoint(&after)?;
             Ok(size)
         }
     });
@@ -160,7 +160,7 @@ fn total_collapse_onto_one_rank() {
             assert_eq!(session.allreduce(&[5u64], Op::sum(), world)?, vec![5]);
             let dup: Comm = session.upper().load_json("test.dup")?;
             assert_eq!(session.comm_size(dup)?, 1);
-            session.checkpoint_into(&after)?;
+            session.checkpoint(&after)?;
             Ok(())
         }
     });
@@ -197,7 +197,7 @@ fn checkpoint_with_parity_split(registry: &Registry, storage: &CheckpointStorage
             session.upper_mut().store_json("test.row", &row)?;
             let total = session.allreduce(&[1u64], Op::sum(), row)?;
             assert_eq!(total, vec![2]);
-            session.checkpoint_into(&storage)?;
+            session.checkpoint(&storage)?;
             Ok(())
         }
     });
@@ -259,7 +259,7 @@ fn growth_adds_fresh_ranks_that_participate_in_the_world() {
             let world = session.world()?;
             let dup = session.comm_dup(world)?;
             session.allreduce(&[1u64], Op::sum(), dup)?;
-            session.checkpoint_into(&storage)?;
+            session.checkpoint(&storage)?;
             Ok(())
         }
     });
@@ -286,7 +286,7 @@ fn growth_adds_fresh_ranks_that_participate_in_the_world() {
             // All three ranks — including the fresh one — close the collective.
             assert_eq!(session.allreduce(&[1u64], Op::sum(), world)?, vec![3]);
             // And the next checkpoint agrees on the collective epoch everywhere.
-            session.checkpoint_into(&after)?;
+            session.checkpoint(&after)?;
             Ok(())
         }
     });
@@ -325,7 +325,7 @@ fn identity_resize_is_bit_identical_to_the_legacy_restart() {
     let store_b = CheckpointStorage::unmetered();
     let ckpt = |store: CheckpointStorage| {
         move |session: &mut Session| {
-            session.checkpoint_into(&store)?;
+            session.checkpoint(&store)?;
             Ok(())
         }
     };
@@ -365,7 +365,7 @@ fn straddled_collective_checkpoint_is_rejected_under_resize() {
         move |session| {
             let world = session.world()?;
             session.allreduce(&[1u64], Op::sum(), world)?;
-            session.checkpoint_into(&storage)?;
+            session.checkpoint(&storage)?;
             Ok(())
         }
     });
@@ -404,7 +404,7 @@ fn identity_restart_path_reports_a_typed_world_size_mismatch() {
     run_job(2, &registry, 1, {
         let storage = storage.clone();
         move |session| {
-            session.checkpoint_into(&storage)?;
+            session.checkpoint(&storage)?;
             Ok(())
         }
     });

@@ -322,22 +322,12 @@ impl Coordinator {
         Ok(())
     }
 
-    /// [`Coordinator::commit`] for a rank servicing a mid-step intent: the rank's
-    /// pre-checkpoint [`IntentSnapshot`] is folded across the round (newest epoch
-    /// wins) and the *round's* decision is returned to every rank — so ranks whose
-    /// own snapshot raced a fresh broadcast still agree, unanimously, on which
-    /// intent they serviced and whether it vacates.
-    pub fn commit_with_intent(
-        &self,
-        rank: Rank,
-        generation: u64,
-        steps: Option<u64>,
-        snapshot: IntentSnapshot,
-    ) -> MpiResult<IntentSnapshot> {
-        let decided = self.commit_inner(rank, generation, steps, Some(snapshot))?;
-        Ok(decided.unwrap_or(snapshot))
-    }
-
+    /// [`Coordinator::commit`], folding a mid-step intent: a rank servicing one
+    /// passes its pre-checkpoint [`IntentSnapshot`], the snapshots are folded across
+    /// the round (newest epoch wins) and the *round's* decision is returned to every
+    /// rank — so ranks whose own snapshot raced a fresh broadcast still agree,
+    /// unanimously, on which intent they serviced and whether it vacates. `None`
+    /// when no arriver of the round brought a snapshot.
     fn commit_inner(
         &self,
         rank: Rank,
@@ -469,23 +459,27 @@ impl DrainObserver for Coordinator {
     }
 }
 
-/// Run one rank through a full coordinated checkpoint: the two MPI-level quiesce
-/// phases, the job-wide observed drain, the **parallel** write into the sharded
-/// store, and the commit barrier that publishes the generation.
+/// Run one rank through a synchronous coordinated checkpoint: the two MPI-level
+/// quiesce phases, the job-wide observed drain, the **parallel** write into the
+/// sharded store, and the commit barrier that publishes the generation.
 ///
 /// `steps` is the number of completed steps this checkpoint corresponds to (recorded
 /// in the ledger so a restart can resume the step counter), or `None` outside
-/// step-driven runs.
-pub fn coordinated_checkpoint(
+/// step-driven runs. A rank servicing a mid-step intent passes its pre-checkpoint
+/// `intent` snapshot, and gets back the round's folded decision; otherwise the
+/// decision is `None`. On a
+/// service-attached job the landed write is metered against the tenant once the
+/// generation has committed.
+pub(crate) fn coordinated_checkpoint(
     rank: &mut ManaRank,
     coordinator: &Coordinator,
     storage: &CheckpointStorage,
+    service: Option<&ServiceHandle>,
     steps: Option<u64>,
-) -> MpiResult<StoreReport> {
+    intent: Option<IntentSnapshot>,
+) -> MpiResult<(StoreReport, Option<IntentSnapshot>)> {
     // Phase 1: quiesce + drain to job-observed global quiescence.
-    let plan = rank.begin_checkpoint()?;
-    rank.drain_quiescent(&plan, coordinator)?;
-    rank.complete_drain()?;
+    rank.quiesce_and_drain(coordinator)?;
     // Phase 2: parallel per-rank write (the sharded store admits all ranks at once),
     // then the commit barrier publishes the generation atomically. The generation is
     // announced *pending* in the store for the duration of the round, so a
@@ -494,10 +488,14 @@ pub fn coordinated_checkpoint(
     let generation = rank.generation();
     storage.begin_generation(generation, coordinator.world_size());
     let result = (|| {
-        let report = rank.write_checkpoint_into(storage)?;
+        let report = rank.write_checkpoint(storage)?;
         storage.note_rank_flushed(report.generation, rank.world_rank());
-        coordinator.commit(rank.world_rank(), report.generation, steps)?;
-        Ok(report)
+        let decided =
+            coordinator.commit_inner(rank.world_rank(), report.generation, steps, intent)?;
+        if let Some(service) = service {
+            service.note_external_write(&report);
+        }
+        Ok((report, decided))
     })();
     if result.is_err() {
         // The round failed (a write error, or the commit barrier poisoned/timed
@@ -508,90 +506,6 @@ pub fn coordinated_checkpoint(
         storage.abort_generation(generation);
     }
     result
-}
-
-/// Run one rank through a coordinated checkpoint with an **asynchronous flush**: the
-/// two MPI-level quiesce phases and the job-wide observed drain exactly as the
-/// synchronous [`coordinated_checkpoint`], but the storage write is split off — the
-/// rank freezes its image (a memory copy), submits it to `flusher`, and returns to
-/// computation immediately with a [`FlushHandle`](ckpt_store::FlushHandle).
-///
-/// The generation is announced *pending* in the store and commits — becoming visible
-/// to `latest_valid_images`/`read_job` and published in the ledger — only when every
-/// rank's background flush has landed, with no rank ever blocking on it: the flusher
-/// worker that lands the last image performs the commit. A job killed mid-flush
-/// leaves the generation pending forever, and a restart falls back to the newest
-/// committed generation exactly as it falls back from a torn synchronous write.
-pub fn coordinated_checkpoint_async(
-    rank: &mut ManaRank,
-    coordinator: &Arc<Coordinator>,
-    flusher: &ckpt_store::FlusherPool,
-    steps: Option<u64>,
-) -> MpiResult<ckpt_store::FlushHandle> {
-    // Phase 1: quiesce + drain to job-observed global quiescence (unchanged — the
-    // network must be quiet before the upper half is frozen).
-    let plan = rank.begin_checkpoint()?;
-    rank.drain_quiescent(&plan, coordinator.as_ref())?;
-    rank.complete_drain()?;
-    // Phase 2: freeze and submit. The commit accounting rides the flush completion
-    // callback on the worker thread; this rank does not wait for anything.
-    let coordinator = Arc::clone(coordinator);
-    rank.write_checkpoint_async_with(flusher, move |report| {
-        coordinator.note_flush_landed(report.generation, steps);
-    })
-}
-
-/// [`coordinated_checkpoint_async`] for a job attached to a multi-tenant
-/// [`CkptService`](ckpt_service::CkptService): the frozen image is submitted
-/// through the tenant's [`ServiceHandle`], which applies admission control over the
-/// service's shared flusher pool.
-///
-/// A rejected submission (pool saturated, or this tenant out of in-flight budget)
-/// **falls back to a synchronous write** on the rank thread — the checkpoint is
-/// never skipped, it just costs this rank the write time instead of riding the
-/// pool. The fallback deliberately uses the barrier-free async commit accounting
-/// (`note_rank_flushed` + [`Coordinator::note_flush_landed`]) rather than the
-/// blocking commit barrier: its peers may have been *admitted* and returned to
-/// computation already, so a rank waiting at a barrier for them would deadlock
-/// against flushes that only land later. The returned handle is pre-completed.
-pub fn coordinated_checkpoint_tenant(
-    rank: &mut ManaRank,
-    coordinator: &Arc<Coordinator>,
-    service: &ServiceHandle,
-    steps: Option<u64>,
-) -> MpiResult<ckpt_store::FlushHandle> {
-    // Phase 1: quiesce + drain to job-observed global quiescence, exactly as the
-    // private-pool async path.
-    let plan = rank.begin_checkpoint()?;
-    rank.drain_quiescent(&plan, coordinator.as_ref())?;
-    rank.complete_drain()?;
-    // Phase 2: freeze, announce pending in the *tenant's view*, and submit through
-    // the service. The commit accounting rides the flush completion exactly as in
-    // the private-pool path — whichever thread lands the last rank's image commits.
-    let policy = rank.config().storage;
-    let world_size = rank.world_size();
-    let world_rank = rank.world_rank();
-    let image = rank.snapshot_checkpoint()?;
-    let generation = image.metadata.generation;
-    service.storage().begin_generation(generation, world_size);
-    let landed = {
-        let coordinator = Arc::clone(coordinator);
-        move |report: &StoreReport| {
-            coordinator.note_flush_landed(report.generation, steps);
-        }
-    };
-    match service.submit_with(policy, image, landed) {
-        Ok(handle) => Ok(handle),
-        Err(rejected) => {
-            // Admission control turned the submission away and handed the image
-            // back: write it synchronously into the tenant's view. The caller owns
-            // the pending accounting the flusher worker would have performed.
-            let report = service.write_sync_fallback(policy, &rejected.image);
-            service.storage().note_rank_flushed(generation, world_rank);
-            coordinator.note_flush_landed(generation, steps);
-            Ok(ckpt_store::FlushHandle::ready(report))
-        }
-    }
 }
 
 /// One rank's mid-step checkpoint hook: the [`CheckpointIntercept`] a step-driven run
@@ -658,37 +572,15 @@ impl CheckpointIntercept for MidStepIntercept {
         // where `current_step` equals the boundary): record the steps a resume may
         // safely assume completed.
         let steps = self.current_step.load(Ordering::SeqCst);
-        let plan = rank.begin_checkpoint()?;
-        rank.drain_quiescent(&plan, self.coordinator.as_ref())?;
-        rank.complete_drain()?;
-        // Same pending announcement as `coordinated_checkpoint`: the generation is
-        // invisible (and prune-protected) until every rank's write lands.
-        let generation = rank.generation();
-        self.storage
-            .begin_generation(generation, self.coordinator.world_size());
-        let decided = (|| {
-            let report = rank.write_checkpoint_into(&self.storage)?;
-            self.storage
-                .note_rank_flushed(report.generation, rank.world_rank());
-            if let Some(service) = &self.service {
-                service.note_external_write(&report);
-            }
-            self.coordinator.commit_with_intent(
-                rank.world_rank(),
-                report.generation,
-                Some(steps),
-                snapshot,
-            )
-        })();
-        // See `coordinated_checkpoint`: a failed round must not leave a stale
-        // pending entry behind (no-op if the round committed).
-        let decided = match decided {
-            Ok(decided) => decided,
-            Err(error) => {
-                self.storage.abort_generation(generation);
-                return Err(error);
-            }
-        };
+        let (_, decided) = coordinated_checkpoint(
+            rank,
+            &self.coordinator,
+            &self.storage,
+            self.service.as_ref(),
+            Some(steps),
+            Some(snapshot),
+        )?;
+        let decided = decided.unwrap_or(snapshot);
         self.serviced
             .store(decided.epoch.max(already), Ordering::SeqCst);
         // Vacate only on a *newly serviced* preempting intent — a stale vacate flag

@@ -3,10 +3,7 @@
 //! scenario the examples and tests used to hand-roll with `thread::spawn` loops.
 
 use crate::backend::Backend;
-use crate::coordinator::{
-    coordinated_checkpoint, coordinated_checkpoint_async, coordinated_checkpoint_tenant,
-    CommitLedger, Coordinator, MidStepIntercept,
-};
+use crate::coordinator::{coordinated_checkpoint, CommitLedger, Coordinator, MidStepIntercept};
 use crate::recovery::{HeartbeatMonitor, RecoveryEventKind, RecoveryLog};
 use ckpt_service::ServiceHandle;
 use ckpt_store::{CheckpointStorage, FlushHandle, FlusherPool, StoreReport};
@@ -321,12 +318,7 @@ impl JobCtx {
     /// must call this at the same logical point).
     pub fn checkpoint(&self, session: &mut Session) -> MpiResult<StoreReport> {
         session.reap();
-        let report =
-            coordinated_checkpoint(session.rank_mut(), &self.coordinator, &self.storage, None)?;
-        if let Some(service) = &self.service {
-            service.note_external_write(&report);
-        }
-        Ok(report)
+        self.checkpoint_at(session.rank_mut(), None)
     }
 
     /// Take a coordinated checkpoint with an asynchronous flush: the rank returns as
@@ -339,15 +331,84 @@ impl JobCtx {
     /// checkpoint is never skipped) and the returned handle is already complete.
     pub fn checkpoint_async(&self, session: &mut Session) -> MpiResult<FlushHandle> {
         session.reap();
-        if let Some(service) = &self.service {
-            return coordinated_checkpoint_tenant(
-                session.rank_mut(),
-                &self.coordinator,
-                service,
-                None,
-            );
+        self.checkpoint_async_at(session.rank_mut(), None)
+    }
+
+    /// One rank's side of a synchronous coordinated checkpoint recording `steps`
+    /// completed steps (see [`coordinated_checkpoint`]).
+    fn checkpoint_at(&self, rank: &mut ManaRank, steps: Option<u64>) -> MpiResult<StoreReport> {
+        let (report, _) = coordinated_checkpoint(
+            rank,
+            &self.coordinator,
+            &self.storage,
+            self.service.as_ref(),
+            steps,
+            None,
+        )?;
+        Ok(report)
+    }
+
+    /// One rank's side of a coordinated checkpoint with an **asynchronous flush**,
+    /// recording `steps` completed steps: the quiesce phases and the job-wide
+    /// observed drain exactly as the synchronous path, but the rank then freezes its
+    /// image (a memory copy), submits it, and returns to computation immediately.
+    ///
+    /// The image goes through the tenant's admission control on a service-attached
+    /// job, otherwise to this job's private pool. The generation is announced
+    /// *pending* in the store and commits — becoming visible to
+    /// `latest_valid_images`/`read_job` and published in the ledger — only when every
+    /// rank's background flush has landed, with no rank ever blocking on it: the
+    /// flusher worker that lands the last image performs the commit. A job killed
+    /// mid-flush leaves the generation pending, and a restart falls back to the
+    /// newest committed generation exactly as it falls back from a torn synchronous
+    /// write.
+    ///
+    /// A tenant submission rejected by admission control (pool saturated, or the
+    /// tenant out of in-flight budget) **falls back to a synchronous write** on the
+    /// rank thread — the checkpoint is never skipped, it just costs this rank the
+    /// write time. The fallback uses the barrier-free async commit accounting
+    /// (`note_rank_flushed` + [`Coordinator::note_flush_landed`]) rather than the
+    /// blocking commit barrier: its peers may have been *admitted* and returned to
+    /// computation already, so a rank waiting at a barrier for them would deadlock
+    /// against flushes that only land later. The returned handle is then
+    /// pre-completed.
+    fn checkpoint_async_at(
+        &self,
+        rank: &mut ManaRank,
+        steps: Option<u64>,
+    ) -> MpiResult<FlushHandle> {
+        // The network must be quiet before the upper half is frozen.
+        rank.quiesce_and_drain(self.coordinator.as_ref())?;
+        // The commit accounting rides the flush completion on whichever thread lands
+        // the image; this rank waits for nothing.
+        let landed = {
+            let coordinator = Arc::clone(&self.coordinator);
+            move |report: &StoreReport| {
+                coordinator.note_flush_landed(report.generation, steps);
+            }
+        };
+        let Some(service) = &self.service else {
+            return rank.write_checkpoint_async(self.flusher(), landed);
+        };
+        let policy = rank.config().storage;
+        let world_rank = rank.world_rank();
+        let image = rank.snapshot_checkpoint()?;
+        let generation = image.metadata.generation;
+        service
+            .storage()
+            .begin_generation(generation, rank.world_size());
+        match service.submit_with(policy, image, landed) {
+            Ok(handle) => Ok(handle),
+            Err(rejected) => {
+                // Admission control handed the image back: write it synchronously
+                // into the tenant's view and perform the pending accounting the
+                // flusher worker would have.
+                let report = service.write_sync_fallback(policy, &rejected.image);
+                service.storage().note_rank_flushed(generation, world_rank);
+                self.coordinator.note_flush_landed(generation, steps);
+                Ok(FlushHandle::ready(report))
+            }
         }
-        coordinated_checkpoint_async(session.rank_mut(), &self.coordinator, self.flusher(), None)
     }
 
     /// The background flusher pool asynchronous checkpoints go through (spawned on
@@ -793,19 +854,18 @@ impl JobRuntime {
         T: Send + 'static,
         F: Fn(Session, JobCtx) -> MpiResult<T> + Send + Sync + 'static,
     {
-        let coordinator = self.coordinator();
-        let storage = self.storage.clone();
-        let flusher = Arc::clone(&self.flusher);
-        let service = self.service.clone();
-        run_world(ranks, move |_, rank| {
-            let ctx = JobCtx {
-                coordinator: Arc::clone(&coordinator),
-                storage: storage.clone(),
-                flusher: Arc::clone(&flusher),
-                service: service.clone(),
-            };
-            body(Session::new(rank), ctx)
-        })
+        let ctx = self.job_ctx(self.coordinator());
+        run_world(ranks, move |_, rank| body(Session::new(rank), ctx.clone()))
+    }
+
+    /// The per-rank checkpoint handle of a world driven by `coordinator`.
+    fn job_ctx(&self, coordinator: Arc<Coordinator>) -> JobCtx {
+        JobCtx {
+            coordinator,
+            storage: self.storage.clone(),
+            flusher: Arc::clone(&self.flusher),
+            service: self.service.clone(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1084,14 +1144,11 @@ impl JobRuntime {
                 "nothing to run: starting at step {start_step} of {total_steps}"
             )));
         }
-        let storage = self.storage.clone();
-        let service = self.service.clone();
+        let ctx = self.job_ctx(coordinator);
         // Mid-step mode takes precedence (see `JobConfig::async_checkpoint`): all
         // its checkpoints are synchronous, so the flag is only effective without
-        // it — and only an effectively-async run without a service tenancy
-        // materializes the private flusher pool (service jobs ride the shared one).
+        // it.
         let async_ckpt = self.config.async_checkpoint && !self.config.checkpoint_mid_step;
-        let flusher = (async_ckpt && service.is_none()).then(|| Arc::clone(self.flusher()));
         let kill_at = if self.kill_armed.load(Ordering::SeqCst) {
             self.config.kill_at_step
         } else {
@@ -1109,10 +1166,11 @@ impl JobRuntime {
             None
         };
         let outcomes = run_world(ranks, move |_, rank| {
+            let coordinator = &ctx.coordinator;
             let mut session = Session::new(rank);
             let intercept = if mid_step {
-                let mut hook = MidStepIntercept::new(Arc::clone(&coordinator), storage.clone());
-                if let Some(service) = &service {
+                let mut hook = MidStepIntercept::new(Arc::clone(coordinator), ctx.storage.clone());
+                if let Some(service) = &ctx.service {
                     hook = hook.with_service(service.clone());
                 }
                 let hook = Arc::new(hook);
@@ -1190,40 +1248,11 @@ impl JobRuntime {
                             // Snapshot fast, flush in the background: the rank holds the
                             // handle and moves straight on to the next step. The commit
                             // (storage visibility + ledger publish) happens on the
-                            // flusher thread that lands the last rank's image. A
-                            // service-attached job submits through its tenant handle
-                            // (admission control, sync fallback on rejection) instead
-                            // of a private pool.
-                            *in_flight = Some(match &service {
-                                Some(service) => coordinated_checkpoint_tenant(
-                                    session.rank_mut(),
-                                    &coordinator,
-                                    service,
-                                    Some(boundary),
-                                )?,
-                                None => coordinated_checkpoint_async(
-                                    session.rank_mut(),
-                                    &coordinator,
-                                    flusher.as_ref().ok_or_else(|| {
-                                        MpiError::Internal(
-                                            "async checkpoint requested but no flusher pool \
-                                             was materialized for this run"
-                                                .into(),
-                                        )
-                                    })?,
-                                    Some(boundary),
-                                )?,
-                            });
+                            // flusher thread that lands the last rank's image.
+                            *in_flight =
+                                Some(ctx.checkpoint_async_at(session.rank_mut(), Some(boundary))?);
                         } else {
-                            let report = coordinated_checkpoint(
-                                session.rank_mut(),
-                                &coordinator,
-                                &storage,
-                                Some(boundary),
-                            )?;
-                            if let Some(service) = &service {
-                                service.note_external_write(&report);
-                            }
+                            ctx.checkpoint_at(session.rank_mut(), Some(boundary))?;
                         }
                     }
                     if kill_at == Some(boundary) && boundary < total_steps {
@@ -1292,5 +1321,30 @@ impl JobRuntime {
             results,
             generation: self.published_generation(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_world_reports_which_rank_panicked() {
+        let err = run_world(vec![(); 3], |rank, ()| {
+            if rank == 1 {
+                panic!("deliberate test panic");
+            }
+            Ok(rank)
+        })
+        .unwrap_err();
+        let message = format!("{err:?}");
+        assert!(
+            message.contains("rank 1"),
+            "panicking rank not named: {message}"
+        );
+        assert!(
+            message.contains("deliberate test panic"),
+            "panic payload not surfaced: {message}"
+        );
     }
 }

@@ -65,10 +65,7 @@ mod job;
 mod recovery;
 
 pub use backend::Backend;
-pub use coordinator::{
-    coordinated_checkpoint, coordinated_checkpoint_async, coordinated_checkpoint_tenant,
-    CommitLedger, Coordinator, IntentSnapshot, MidStepIntercept,
-};
+pub use coordinator::{CommitLedger, Coordinator, IntentSnapshot, MidStepIntercept};
 pub use elastic::{RankMap, RemapPolicy, Repartition};
 pub use job::{run_world, ElasticConfig, JobConfig, JobCtx, JobRun, JobRuntime};
 pub use recovery::{

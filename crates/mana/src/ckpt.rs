@@ -15,7 +15,7 @@
 //!    the restart.
 //! 4. `MPI_Barrier`, then serialize the upper half — application regions, the
 //!    descriptor table, the replay log, the drained-message buffer and the drain
-//!    counters — into a [`CheckpointImage`] and hand it to the checkpoint store.
+//!    counters — into a [`CheckpointImage`] and hand it to the `ckpt-store` engine.
 //!
 //! Nothing from the lower half (fabric mailboxes, library object stores, constant
 //! addresses) is saved: that is the whole point of the split-process design.
@@ -27,7 +27,6 @@ use mpi_model::constants::PredefinedObject;
 use mpi_model::error::{MpiError, MpiResult};
 use mpi_model::types::{HandleKind, Rank, ANY_SOURCE, ANY_TAG};
 use split_proc::image::{CheckpointImage, ImageMetadata};
-use split_proc::store::{CheckpointStore, WriteReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -195,8 +194,8 @@ pub trait DrainObserver: Send + Sync {
     }
 }
 
-/// The fallback observer used by the standalone [`ManaRank::checkpoint`] /
-/// [`ManaRank::checkpoint_into`] paths: only this rank's own progress is visible.
+/// The fallback observer used by the standalone [`ManaRank::checkpoint`]: only this
+/// rank's own progress is visible.
 #[derive(Debug, Default)]
 pub struct LocalDrainObserver {
     drained: AtomicU64,
@@ -213,20 +212,10 @@ impl DrainObserver for LocalDrainObserver {
 }
 
 impl ManaRank {
-    /// Take a transparent checkpoint into the legacy flat-image store and continue
-    /// running. This is the paper-baseline write path: every generation writes the
-    /// complete image.
-    ///
-    /// Collective: every rank of the job must call this at the same logical point.
-    /// Returns the write report (image size and modelled write time) for this rank.
-    pub fn checkpoint(&mut self, store: &CheckpointStore) -> MpiResult<WriteReport> {
-        self.quiesce_and_drain(&LocalDrainObserver::default())?;
-        self.write_checkpoint(store)
-    }
-
     /// Take a transparent checkpoint into the `ckpt-store` storage engine, using the
     /// storage policy from this rank's [`ManaConfig`](crate::config::ManaConfig)
-    /// (full image, incremental, or incremental+compressed).
+    /// (full image, incremental, or incremental+compressed). `FullImage` is the
+    /// paper-baseline write path: every generation writes the complete image.
     ///
     /// On the incremental policies only the upper-half regions dirtied since the
     /// previous generation are re-encoded, and only content-new chunks reach storage;
@@ -236,9 +225,22 @@ impl ManaRank {
     /// Collective: every rank of the job must call this at the same logical point.
     /// Jobs running under an orchestrator (`job-runtime`) go through the same phases
     /// individually, with a job-wide [`DrainObserver`] in the middle.
-    pub fn checkpoint_into(&mut self, storage: &CheckpointStorage) -> MpiResult<StoreReport> {
+    pub fn checkpoint(&mut self, storage: &CheckpointStorage) -> MpiResult<StoreReport> {
         self.quiesce_and_drain(&LocalDrainObserver::default())?;
-        self.write_checkpoint_into(storage)
+        self.write_checkpoint(storage)
+    }
+
+    /// Phases 1-4 of the checkpoint protocol in one call: [`begin_checkpoint`],
+    /// [`drain_quiescent`] under `observer`, [`complete_drain`]. Collective. After
+    /// this returns the rank is safe to snapshot or write.
+    ///
+    /// [`begin_checkpoint`]: ManaRank::begin_checkpoint
+    /// [`drain_quiescent`]: ManaRank::drain_quiescent
+    /// [`complete_drain`]: ManaRank::complete_drain
+    pub fn quiesce_and_drain(&mut self, observer: &dyn DrainObserver) -> MpiResult<()> {
+        let plan = self.begin_checkpoint()?;
+        self.drain_quiescent(&plan, observer)?;
+        self.complete_drain()
     }
 
     /// Phases 1-2 of the checkpoint protocol: quiesce the job (world barrier),
@@ -318,15 +320,6 @@ impl ManaRank {
         Ok(())
     }
 
-    /// Snapshot this rank's upper half into the legacy flat store and advance the
-    /// generation. The caller must have completed the drain phases first.
-    pub fn write_checkpoint(&mut self, store: &CheckpointStore) -> MpiResult<WriteReport> {
-        let generation = self.generation;
-        let report = self.with_built_image(|image| store.write(generation, image))?;
-        self.generation += 1;
-        Ok(report)
-    }
-
     /// Snapshot this rank's upper half into the `ckpt-store` engine under the
     /// configured storage policy and advance the generation + dirty-tracking epoch.
     /// The caller must have completed the drain phases first.
@@ -334,7 +327,7 @@ impl ManaRank {
     /// Writes from different ranks may run concurrently: the sharded store admits
     /// them in parallel, which is what the orchestrator's parallel write phase
     /// exploits.
-    pub fn write_checkpoint_into(&mut self, storage: &CheckpointStorage) -> MpiResult<StoreReport> {
+    pub fn write_checkpoint(&mut self, storage: &CheckpointStorage) -> MpiResult<StoreReport> {
         let policy = self.config.storage;
         let report = self.with_built_image(|image| storage.write_image(policy, image))?;
         self.upper.mark_clean();
@@ -367,16 +360,10 @@ impl ManaRank {
     /// policy. The generation is announced as *pending* in the flusher's store — it
     /// becomes visible only once every rank of the world has flushed it, so a job
     /// killed mid-flush restarts from the newest committed generation exactly like a
-    /// job killed mid-write does today. The caller must have completed the drain
-    /// phases first.
-    pub fn write_checkpoint_async(&mut self, flusher: &FlusherPool) -> MpiResult<FlushHandle> {
-        self.write_checkpoint_async_with(flusher, |_| {})
-    }
-
-    /// [`write_checkpoint_async`](ManaRank::write_checkpoint_async) with a completion
-    /// callback, run on the flusher thread after this rank's image lands in storage
-    /// (orchestrators hang their commit accounting here).
-    pub fn write_checkpoint_async_with(
+    /// job killed mid-write does. `on_flushed` runs on the flusher thread after this
+    /// rank's image lands in storage (orchestrators hang their commit accounting
+    /// here). The caller must have completed the drain phases first.
+    pub fn write_checkpoint_async(
         &mut self,
         flusher: &FlusherPool,
         on_flushed: impl FnOnce(&StoreReport) + Send + 'static,
@@ -388,32 +375,6 @@ impl ManaRank {
             .storage()
             .begin_generation(image.metadata.generation, world_size);
         Ok(flusher.submit_with(policy, image, on_flushed))
-    }
-
-    /// Take a full transparent checkpoint with an asynchronous flush: quiesce and
-    /// drain (collective, as always), then snapshot and return immediately with a
-    /// [`FlushHandle`] while the storage write proceeds in the background.
-    ///
-    /// Collective: every rank of the job must call this at the same logical point,
-    /// all against pools sharing one store (or one shared pool).
-    pub fn checkpoint_async(&mut self, flusher: &FlusherPool) -> MpiResult<FlushHandle> {
-        self.quiesce_and_drain(&LocalDrainObserver::default())?;
-        self.write_checkpoint_async(flusher)
-    }
-
-    /// Phases 1-4 of the checkpoint protocol in one call, for the standalone paths.
-    fn quiesce_and_drain(&mut self, observer: &dyn DrainObserver) -> MpiResult<()> {
-        let plan = self.begin_checkpoint()?;
-        self.drain_quiescent(&plan, observer)?;
-        self.complete_drain()
-    }
-
-    /// Build the checkpoint image for this rank without writing it anywhere (used by
-    /// tests and by the Table 3 bench, which only needs sizes). This path pays one
-    /// clone of the upper half; the write paths serialize in place (the upper half is
-    /// moved into the image and back) and do not.
-    pub fn build_image(&mut self) -> MpiResult<CheckpointImage> {
-        self.with_built_image(|image| image.clone())
     }
 
     /// Run `consume` over this rank's checkpoint image without cloning the upper

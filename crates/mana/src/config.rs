@@ -69,11 +69,11 @@ pub struct ManaConfig {
     /// The `fs`-register switching mechanism available on the host (used only for
     /// overhead accounting; the simulation's correctness does not depend on it).
     pub crossing_mode: CrossingMode,
-    /// How [`ManaRank::checkpoint_into`] writes this rank's images to a
+    /// How [`ManaRank::checkpoint`] writes this rank's images to a
     /// [`ckpt_store::CheckpointStorage`]: the legacy flat image (the paper's baseline)
     /// or the incremental content-addressed engine, optionally compressed.
     ///
-    /// [`ManaRank::checkpoint_into`]: crate::runtime::ManaRank::checkpoint_into
+    /// [`ManaRank::checkpoint`]: crate::runtime::ManaRank::checkpoint
     pub storage: StoragePolicy,
 }
 

@@ -35,7 +35,8 @@ fn incremental() -> ManaConfig {
     ManaConfig::new_design().with_storage(StoragePolicy::Incremental)
 }
 
-/// `ManaRank::checkpoint_async`: the standalone (coordinator-less) async path. The
+/// The standalone (coordinator-less) async path: the drain phases, then
+/// `ManaRank::write_checkpoint_async` into a private pool. The
 /// generation commits through the store's own flush accounting once both ranks'
 /// flushes land, the restarted job sees exactly the snapshotted state, and writes
 /// made *after* the snapshot (while the flush was still in flight) never leak into
@@ -54,7 +55,9 @@ fn async_checkpoint_round_trips_through_restart() {
         let world = session.world()?;
         let total = session.allreduce(&[me + 1], Op::sum(), world)?[0];
         session.upper_mut().store_json(STATE, &(me, total))?;
-        let handle = session.rank_mut().checkpoint_async(&pool_in_body)?;
+        let rank = session.rank_mut();
+        rank.quiesce_and_drain(&LocalDrainObserver::default())?;
+        let handle = rank.write_checkpoint_async(&pool_in_body, |_| {})?;
         assert_eq!(handle.generation(), 0);
         // The rank is already back to computation; this write lands after the
         // freeze and must NOT appear in the checkpoint.
@@ -106,7 +109,9 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
         let mut session = Session::new(rank);
         let me = session.world_rank();
         session.upper_mut().store_json(STATE, &(me, "gen0"))?;
-        session.rank_mut().checkpoint_async(&pool_in_body)?.wait();
+        let rank = session.rank_mut();
+        rank.quiesce_and_drain(&LocalDrainObserver::default())?;
+        rank.write_checkpoint_async(&pool_in_body, |_| {})?.wait();
 
         // The state the torn generation 1 would carry.
         session.upper_mut().store_json(STATE, &(me, "gen1"))?;
@@ -162,7 +167,7 @@ fn killed_mid_flush_restarts_from_newest_committed_generation() {
         // path (which never announces a pending round): the stale abort
         // bookkeeping must not hide this legitimate checkpoint.
         session.upper_mut().store_json(STATE, &(me, "gen1-retry"))?;
-        let report = session.rank_mut().checkpoint_into(&storage_after)?;
+        let report = session.rank_mut().checkpoint(&storage_after)?;
         assert_eq!(report.generation, 1);
         Ok(())
     })

@@ -14,11 +14,11 @@
 //!   (the §9 "future work" scenario, possible here because nothing lower-half-specific
 //!   is stored in the image).
 
+use ckpt_store::CheckpointStorage;
 use job_runtime::{run_world, Backend, JobConfig, JobRuntime};
 use mana::{Comm, Datatype, ManaConfig, Op, Session};
 use mpi_model::types::ANY_SOURCE;
 use serde::{Deserialize, Serialize};
-use split_proc::store::CheckpointStore;
 
 /// Application state the "app" stores in its upper half: the typed handles it holds
 /// and a little progress marker. Surviving serialization of *handles* is the point.
@@ -37,7 +37,7 @@ const TAG_NORMAL: i32 = 7;
 
 /// Phase 1 of the scenario: build objects, do some traffic, leave one message in
 /// flight, then checkpoint.
-fn phase_before(mut session: Session, store: &CheckpointStore) -> (u64, usize) {
+fn phase_before(mut session: Session, storage: &CheckpointStorage) -> (u64, usize) {
     let me = session.world_rank();
     let n = session.world_size() as i32;
 
@@ -84,8 +84,8 @@ fn phase_before(mut session: Session, store: &CheckpointStore) -> (u64, usize) {
         .store_json(STATE_REGION, &state)
         .unwrap();
 
-    let report = session.checkpoint(store).unwrap();
-    assert!(report.bytes > 0);
+    let report = session.checkpoint(storage).unwrap();
+    assert!(report.written_bytes > 0);
     (session.crossings(), session.buffered_messages())
 }
 
@@ -130,12 +130,12 @@ fn phase_after(mut session: Session) {
 
 fn run_scenario(first: Backend, second: Backend, config: ManaConfig, world_size: usize) {
     let runtime = JobRuntime::new(JobConfig::new(world_size, first).with_mana(config));
-    let store = CheckpointStore::unmetered();
+    let storage = CheckpointStorage::unmetered();
 
     // --- Run until the checkpoint under the first implementation. ---
-    let store_for_ranks = store.clone();
+    let storage_for_ranks = storage.clone();
     let results = runtime
-        .run(move |session, _ctx| Ok(phase_before(session, &store_for_ranks)))
+        .run(move |session, _ctx| Ok(phase_before(session, &storage_for_ranks)))
         .unwrap();
     for (crossings, _buffered) in results {
         assert!(
@@ -145,9 +145,7 @@ fn run_scenario(first: Backend, second: Backend, config: ManaConfig, world_size:
     }
 
     // --- Restart under the second implementation (a brand-new session). ---
-    let images: Vec<_> = (0..world_size)
-        .map(|r| store.read(0, r as i32).unwrap())
-        .collect();
+    let images = storage.read_job(0, world_size).unwrap();
     assert!(images
         .iter()
         .all(|i| i.metadata.implementation == first.name()));
@@ -238,26 +236,29 @@ fn exampi_checkpoint_restart_within_subset() {
 
 #[test]
 fn multiple_checkpoint_generations() {
-    let runtime = JobRuntime::new(JobConfig::new(2, Backend::Mpich));
-    let store = CheckpointStore::unmetered();
-    let store_for_ranks = store.clone();
+    // `new_design` writes flat images (`StoragePolicy::FullImage`).
+    let runtime =
+        JobRuntime::new(JobConfig::new(2, Backend::Mpich).with_mana(ManaConfig::new_design()));
+    let storage = CheckpointStorage::unmetered();
+    let storage_for_ranks = storage.clone();
     runtime
         .run(move |mut session, _ctx| {
             let world = session.world()?;
             for generation in 0..3u64 {
                 let total = session.allreduce(&[1], Op::sum(), world)?[0];
                 assert_eq!(total, 2);
-                let report = session.checkpoint(&store_for_ranks)?;
-                assert!(report.bytes > 0);
+                let report = session.checkpoint(&storage_for_ranks)?;
+                assert!(report.written_bytes > 0);
                 assert_eq!(session.generation(), generation + 1);
             }
             Ok(session.world_rank())
         })
         .unwrap();
     // Three generations of two ranks each.
-    assert_eq!(store.image_count(), 6);
+    assert_eq!(storage.stats().full_image_count, 6);
     // The restart path works from the latest generation.
-    let images: Vec<_> = (0..2).map(|r| store.read(2, r).unwrap()).collect();
+    let (generation, images) = storage.latest_valid_images(2).unwrap();
+    assert_eq!(generation, 2);
     let new_lowers = Backend::Mpich
         .factory()
         .launch(2, runtime.registry(), 9)

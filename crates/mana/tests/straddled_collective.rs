@@ -45,7 +45,7 @@ impl CheckpointIntercept for StraddleIntercept {
         let plan = rank.begin_checkpoint()?;
         rank.drain_quiescent(&plan, &LocalDrainObserver::default())?;
         rank.complete_drain()?;
-        rank.write_checkpoint_into(&self.storage)?;
+        rank.write_checkpoint(&self.storage)?;
         Ok(IntentOutcome::Vacate)
     }
 }

@@ -7,6 +7,7 @@
 //!   (or the peer-rank translation) failed, because the `?` early-returns skipped
 //!   `translator.remove`.
 
+use ckpt_store::CheckpointStorage;
 use job_runtime::run_world;
 use mana::{ManaConfig, ManaRank};
 use mpi_model::api::MpiImplementationFactory;
@@ -16,7 +17,6 @@ use mpi_model::error::MpiError;
 use mpi_model::op::UserFunctionRegistry;
 use mpich_sim::MpichFactory;
 use parking_lot::RwLock;
-use split_proc::store::CheckpointStore;
 use std::sync::Arc;
 
 fn launch_mana(world: usize) -> Vec<ManaRank> {
@@ -33,7 +33,7 @@ fn launch_mana(world: usize) -> Vec<ManaRank> {
 /// in its upper-half buffer (rank 0 sent it, both ranks checkpointed, the drain moved
 /// it out of the network), then return rank 1.
 fn rank_with_buffered_message() -> ManaRank {
-    let store = CheckpointStore::unmetered();
+    let storage = CheckpointStorage::unmetered();
     let ranks = launch_mana(2);
     let mut out = run_world(ranks, move |rank_index, mut rank: ManaRank| {
         let world = rank.world().unwrap();
@@ -44,7 +44,7 @@ fn rank_with_buffered_message() -> ManaRank {
             rank.send(&[1, 2, 3, 4, 5, 6, 7, 8], byte, 1, 7, world)
                 .unwrap();
         }
-        rank.checkpoint(&store).unwrap();
+        rank.checkpoint(&storage).unwrap();
         Ok(rank)
     })
     .unwrap();

@@ -46,7 +46,6 @@ fn main() {
                     iterations: CHECKPOINT_AT,
                     state_scale: 1e-4,
                     checkpoint_at: None,
-                    store: None,
                     storage: None,
                 },
             )?;
@@ -74,7 +73,6 @@ fn main() {
                     iterations: TOTAL_STEPS,
                     state_scale: 1e-4,
                     checkpoint_at: None,
-                    store: None,
                     storage: None,
                 },
             )?;

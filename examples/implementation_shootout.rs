@@ -31,7 +31,6 @@ fn main() {
                             iterations: STEPS,
                             state_scale: 1e-4,
                             checkpoint_at: None,
-                            store: None,
                             storage: None,
                         },
                     )

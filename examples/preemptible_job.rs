@@ -13,12 +13,11 @@
 //! cargo run --example preemptible_job
 //! ```
 
-use mana_repro::ckpt_store::CheckpointStorage;
+use mana_repro::ckpt_store::{CheckpointStorage, StoreConfig};
 use mana_repro::job_runtime::{Backend, JobConfig, JobRuntime};
 use mana_repro::mana::{ManaConfig, Session, StoragePolicy};
 use mana_repro::mana_apps::{run_app, AppId, RunConfig};
 use mana_repro::mpi_model::error::MpiResult;
-use mana_repro::split_proc::store::StoreConfig;
 
 const RANKS: usize = 4;
 const TOTAL_STEPS: u64 = 12;
@@ -43,7 +42,6 @@ fn lulesh_step(session: &mut Session, step: u64) -> MpiResult<mana_repro::mana_a
             iterations: step + 1,
             state_scale: 2e-4,
             checkpoint_at: None,
-            store: None,
             storage: None,
         },
     )

@@ -63,21 +63,6 @@ pub fn launch_mana_job_with_registry(
         .collect()
 }
 
-/// Run one closure per rank, each on its own thread, and collect the results in rank
-/// order. A panic in a rank is surfaced as an [`mpi_model::error::MpiError::Internal`]
-/// naming the world rank that panicked (and the panic message, when it carries one).
-///
-/// This is a thin compatibility wrapper over [`job_runtime::run_world`]; new code
-/// should reach for [`job_runtime::JobRuntime`], which also coordinates checkpoints,
-/// preemption and restart.
-pub fn run_ranks<T, F>(ranks: Vec<ManaRank>, body: F) -> MpiResult<Vec<T>>
-where
-    T: Send + 'static,
-    F: Fn(ManaRank) -> MpiResult<T> + Send + Sync + 'static,
-{
-    job_runtime::run_world(ranks, move |_, rank| body(rank))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,39 +78,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ranks.len(), 3);
-        let results = run_ranks(ranks, |mut rank| {
+        let results = job_runtime::run_world(ranks, |_, mut rank| {
             let world = rank.constant(PredefinedObject::CommWorld)?;
             rank.barrier(world)?;
             Ok(rank.world_rank())
         })
         .unwrap();
         assert_eq!(results, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn run_ranks_reports_which_rank_panicked() {
-        let ranks = launch_mana_job(
-            &mpich_sim::MpichFactory::mpich(),
-            3,
-            ManaConfig::new_design(),
-            2,
-        )
-        .unwrap();
-        let err = run_ranks(ranks, |rank| {
-            if rank.world_rank() == 1 {
-                panic!("deliberate test panic");
-            }
-            Ok(rank.world_rank())
-        })
-        .unwrap_err();
-        let message = format!("{err:?}");
-        assert!(
-            message.contains("rank 1"),
-            "panicking rank not named: {message}"
-        );
-        assert!(
-            message.contains("deliberate test panic"),
-            "panic payload not surfaced: {message}"
-        );
     }
 }

@@ -3,16 +3,17 @@
 //! as different as 32-bit table indices, 64-bit struct pointers, and
 //! lazily-materialized shared pointers.
 
+use mana_repro::job_runtime::run_world;
+use mana_repro::launch_mana_job;
 use mana_repro::mana::{ManaConfig, Op, Session};
 use mana_repro::mpi_model::constants::{ConstantResolution, PredefinedObject};
-use mana_repro::{launch_mana_job, run_ranks};
 use mpi_model::api::MpiImplementationFactory;
 
 /// The application-side logic is identical for every implementation; only the factory
 /// changes. Returns (implementation name, world handle bits, sum result).
 fn same_app_everywhere(factory: &dyn MpiImplementationFactory) -> Vec<(String, u64, i32)> {
     let ranks = launch_mana_job(factory, 3, ManaConfig::new_design(), 3).unwrap();
-    run_ranks(ranks, |rank| {
+    run_world(ranks, |_, rank| {
         let mut session = Session::new(rank);
         let name = session.implementation_name().to_string();
         let world = session.world()?;
