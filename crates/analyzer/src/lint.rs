@@ -148,16 +148,25 @@ fn in_library_scope(rel: &str) -> bool {
     (rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/")
 }
 
-/// Deterministic-simulator scope for `no-wall-clock`: all of `net-sim`, plus any
-/// file named `chaos.rs` anywhere, minus the approved clock module (the single
-/// place the simulator is allowed to read real time).
+/// Deterministic scope for `no-wall-clock`: all of `net-sim`, any file named
+/// `chaos.rs` anywhere, and the files in [`WALL_CLOCK_FREE_FILES`], minus the
+/// approved clock module (the single place the simulator is allowed to read real
+/// time).
 fn in_deterministic_scope(rel: &str) -> bool {
     let rel = rel.replace('\\', "/");
     if APPROVED_CLOCK_MODULES.contains(&rel.as_str()) {
         return false;
     }
-    rel.starts_with("crates/net-sim/src/") || rel.ends_with("/chaos.rs")
+    rel.starts_with("crates/net-sim/src/")
+        || rel.ends_with("/chaos.rs")
+        || WALL_CLOCK_FREE_FILES.contains(&rel.as_str())
 }
+
+/// Files outside the simulator held to `no-wall-clock`. The MANA wrappers wait for
+/// a collective registration round by parking on the fabric's registration board,
+/// which also owns the stall bound; a sleep or a wall-clock read there would put a
+/// timer back on every collective's hot path.
+pub const WALL_CLOCK_FREE_FILES: &[&str] = &["crates/mana/src/wrappers.rs"];
 
 /// The modules allowed to touch the wall clock inside the deterministic scope.
 pub const APPROVED_CLOCK_MODULES: &[&str] = &["crates/net-sim/src/clock.rs"];

@@ -87,6 +87,25 @@ fn wall_clock_fires_in_sim_paths_only() {
 }
 
 #[test]
+fn wall_clock_covers_the_mana_wrappers_and_no_other_mana_file() {
+    let source = fixture("bad_wall_clock.rs");
+    let wrappers = lint_source("crates/mana/src/wrappers.rs", &source);
+    assert_eq!(
+        by_rule(&wrappers, "no-wall-clock").len(),
+        3,
+        "the wrapper hot path is in scope: {wrappers:?}"
+    );
+    for path in ["crates/mana/src/ckpt.rs", "crates/mana/src/api/wrappers.rs"] {
+        let violations = lint_source(path, &source);
+        assert_eq!(
+            by_rule(&violations, "no-wall-clock").len(),
+            0,
+            "{path} should be out of no-wall-clock scope"
+        );
+    }
+}
+
+#[test]
 fn guard_across_blocking_fires_once_and_spares_the_idioms() {
     let source = fixture("bad_guard.rs");
     let violations = lint_source("crates/demo/src/bad_guard.rs", &source);

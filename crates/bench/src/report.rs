@@ -72,28 +72,28 @@ impl Report {
         if !self.validation_runs.is_empty() {
             out.push_str("\n== Scaled-down validation runs (this machine) ==\n");
             out.push_str(&format!(
-                "{:<8} {:<10} {:>6} {:>6} {:>14} {:>14} {:>10} {:>10} {:>8}\n",
+                "{:<8} {:<10} {:>6} {:>6} {:>14} {:>14} {:>12} {:>12} {:>8}\n",
                 "app",
                 "impl",
                 "ranks",
                 "iters",
                 "cross/rank",
                 "cross/iter",
-                "ckpt B",
-                "logical B",
+                "ckpt B tot",
+                "logical B tot",
                 "restart"
             ));
             for run in &self.validation_runs {
                 out.push_str(&format!(
-                    "{:<8} {:<10} {:>6} {:>6} {:>14.0} {:>14.1} {:>10} {:>10} {:>8}\n",
+                    "{:<8} {:<10} {:>6} {:>6} {:>14.0} {:>14.1} {:>12} {:>12} {:>8}\n",
                     run.app.name(),
                     run.implementation,
                     run.ranks,
                     run.iterations,
                     run.crossings_per_rank,
                     run.crossings_per_rank_per_iteration,
-                    run.ckpt_bytes_per_rank,
-                    run.ckpt_logical_bytes_per_rank,
+                    run.ckpt_bytes_total,
+                    run.ckpt_logical_bytes_total,
                     if run.restart_equivalent {
                         "ok"
                     } else {

@@ -10,9 +10,10 @@
 //! crossing counts must match exactly.
 //!
 //! The gated comparison runs on a **single-rank** world on purpose: with one rank
-//! there is no inter-thread scheduling and no collective-registration backoff sleep,
-//! so the measured wall time is (almost) pure deterministic work and the 5% gate is
-//! meaningful even on a contended CI runner — and with no idle wait diluting the
+//! there is no inter-thread scheduling and no collective-registration wait for a
+//! peer (a one-member round commits at registration), so the measured wall time is
+//! (almost) pure deterministic work and the 5% gate is meaningful even on a
+//! contended CI runner — and with no idle wait diluting the
 //! denominator, it is also the *strictest* configuration for the layer's per-call
 //! cost. Crossing equality (asserted exactly) proves the typed path forwards
 //! one-to-one regardless of world size.
@@ -311,9 +312,9 @@ mod tests {
     #[test]
     fn typed_layer_adds_no_crossings() {
         // On a single-rank world the crossing count is fully deterministic (the
-        // collective registration poll succeeds on its first check, whereas in a
-        // multi-rank world the poll count depends on peer timing): both paths must
-        // make exactly the same lower-half calls. (Wall time is asserted by the
+        // collective registration wait succeeds on its first check, whereas in a
+        // multi-rank world the number of wait slices depends on peer timing): both
+        // paths must make exactly the same lower-half calls. (Wall time is asserted by the
         // harness gate, where the release build and min-of-N repeats make the
         // comparison meaningful.)
         let (_, raw_crossings) = run_raw(900, 1);

@@ -10,10 +10,14 @@ use split_proc::address_space::UpperHalfSpace;
 use split_proc::image::{CheckpointImage, ImageMetadata};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const TENANTS: usize = 4;
 const WORLD: usize = 2;
 const GENERATIONS: u64 = 24;
+/// How long a writer waits for its validator's first probe before the test fails.
+/// Never reached when the validator runs; it only turns a hang into a failure.
+const FAILURE_TIMEOUT: Duration = Duration::from_secs(60);
 
 fn image(seed: u64, generation: u64, rank: i32, bytes: usize) -> CheckpointImage {
     let mut upper = UpperHalfSpace::new();
@@ -47,8 +51,21 @@ fn image(seed: u64, generation: u64, rank: i32, bytes: usize) -> CheckpointImage
 /// commits only when the last rank lands. Without it a half-written generation
 /// would momentarily count as "newest committed", stripping prune protection from
 /// the tenant's actual restart point while the GC races these writes.
-fn writer(handle: &ServiceHandle, seed: u64, committed_floor: &AtomicU64) {
+///
+/// The final generation is held back until `probed` is set, so a validator that sets
+/// it after a probe is guaranteed to have probed while this writer was still churning.
+fn writer(handle: &ServiceHandle, seed: u64, committed_floor: &AtomicU64, probed: &AtomicBool) {
     for generation in 0..GENERATIONS {
+        if generation == GENERATIONS - 1 {
+            let start = Instant::now();
+            while !probed.load(Ordering::Acquire) {
+                assert!(
+                    start.elapsed() < FAILURE_TIMEOUT,
+                    "no validator probe while the writer churned"
+                );
+                std::thread::yield_now();
+            }
+        }
         handle.storage().begin_generation(generation, WORLD);
         for rank in 0..WORLD {
             let report = handle.storage().write_image(
@@ -78,6 +95,9 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let floors: Vec<Arc<AtomicU64>> = (0..TENANTS).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let probed: Vec<Arc<AtomicBool>> = (0..TENANTS)
+        .map(|_| Arc::new(AtomicBool::new(false)))
+        .collect();
 
     // Validators: from the moment a tenant has committed anything, its view must
     // yield a complete, end-to-end-valid newest generation at *every* probe, even
@@ -89,6 +109,7 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
             let handle = handle.clone();
             let stop = Arc::clone(&stop);
             let floor = Arc::clone(&floors[t]);
+            let probed = Arc::clone(&probed[t]);
             std::thread::spawn(move || {
                 let mut probes = 0u64;
                 while !stop.load(Ordering::Acquire) {
@@ -106,6 +127,8 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
                         assert_eq!(images.len(), WORLD);
                         assert!(generation < GENERATIONS);
                         probes += 1;
+                        // Lets the writer commit its final generation.
+                        probed.store(true, Ordering::Release);
                     }
                     std::thread::yield_now();
                 }
@@ -135,7 +158,8 @@ fn tenants_stay_restartable_under_aggressive_concurrent_gc() {
         .map(|(t, handle)| {
             let handle = handle.clone();
             let floor = Arc::clone(&floors[t]);
-            std::thread::spawn(move || writer(&handle, t as u64 + 1, &floor))
+            let probed = Arc::clone(&probed[t]);
+            std::thread::spawn(move || writer(&handle, t as u64 + 1, &floor, &probed))
         })
         .collect();
     for writer in writers {
@@ -187,13 +211,14 @@ fn a_quota_bound_tenant_never_evicts_an_unlimited_neighbors_data() {
         service.register_tenant_with("capped", TenantQuota::default().with_max_generations(1));
     let unlimited = service.register_tenant("unlimited");
 
+    // No validators here: nothing holds either writer back.
     let capped_writer = {
         let capped = capped.clone();
         let floor = AtomicU64::new(0);
-        std::thread::spawn(move || writer(&capped, 42, &floor))
+        std::thread::spawn(move || writer(&capped, 42, &floor, &AtomicBool::new(true)))
     };
     let floor = AtomicU64::new(0);
-    writer(&unlimited, 42, &floor);
+    writer(&unlimited, 42, &floor, &AtomicBool::new(true));
     capped_writer.join().unwrap();
 
     // The capped tenant was reclaimed hard...

@@ -105,8 +105,8 @@ pub enum IntentOutcome {
 /// been broadcast, and how it services one from *inside* a wrapper.
 ///
 /// Collective wrappers consult the hook only at registration-phase safe points:
-/// wrapper entry (before registering), and from the registration poll loop, where a
-/// rank withdraws its registration (atomically, see `collective_withdraw`) before
+/// wrapper entry (before registering), and between the slices of the registration
+/// wait, where a rank withdraws its registration (atomically, see `collective_withdraw`) before
 /// servicing — so a checkpoint can never catch a rank inside a collective. There is
 /// no post-critical-phase check: an intent arriving during the critical phase waits
 /// for the next registration or step-boundary safe point, where every rank's

@@ -19,17 +19,10 @@ use mpi_model::status::Status;
 use mpi_model::types::{HandleKind, PhysHandle, Rank, Tag};
 use std::time::Duration;
 
-/// Smallest sleep between registration polls while waiting for a collective round to
-/// commit.
-const REGISTRATION_BACKOFF_FLOOR: Duration = Duration::from_micros(2);
-/// Cap of the registration poll backoff: late-arriving peers are noticed within this
-/// bound, so the two-phase protocol adds little latency to an uncontended collective.
-const REGISTRATION_BACKOFF_CAP: Duration = Duration::from_micros(256);
-/// How long a registered rank waits for the round to commit before declaring the
-/// collective dead (a peer errored out before registering). Matches the fabric's
-/// blocking timeout, which guarded this failure mode when collectives crossed
-/// straight into the blocking exchange.
-const REGISTRATION_STALL_BUDGET: Duration = Duration::from_secs(60);
+/// Longest single registration wait: a rank parked until its collective round
+/// commits wakes at least this often to check for a checkpoint intent, so an intent
+/// broadcast while it waits is noticed within this bound.
+const INTENT_POLL_SLICE: Duration = Duration::from_micros(256);
 
 impl ManaRank {
     // ------------------------------------------------------------------
@@ -817,8 +810,8 @@ impl ManaRank {
     ///
     /// Phase one — **registration** ("trivial barrier"): the wrapper publishes the
     /// collective's sequence number into the upper half ([`crate::record::CollectiveLog`])
-    /// and announces itself on the lower half's registration board, then polls until
-    /// every member of the communicator has registered. While polling, the rank sits
+    /// and announces itself on the lower half's registration board, then waits until
+    /// every member of the communicator has registered. While waiting, the rank sits
     /// at a *safe point*: a broadcast checkpoint intent is serviced by atomically
     /// withdrawing the registration (which fails if and only if the round already
     /// committed) and running the coordinated checkpoint, after which the rank
@@ -878,20 +871,23 @@ impl ManaRank {
         }
     }
 
-    /// The registration loop of the two-phase protocol: register, poll for the round
+    /// The registration loop of the two-phase protocol: register, wait for the round
     /// to commit, and service checkpoint intents by withdraw-checkpoint-re-register
-    /// while the round has not committed. A round that fails to commit within the
-    /// stall budget (and with no intent to service) means a peer died before
-    /// registering; the wait is bounded so the job errors out instead of hanging.
+    /// while the round has not committed. The wait parks on the lower half's
+    /// registration board in [`INTENT_POLL_SLICE`]s, woken by the member whose
+    /// registration commits the round. A round that does not commit within the lower
+    /// half's stall bound means a peer died before registering; the lower half then
+    /// errors so the job does not hang.
     fn register_and_await(&mut self, phys: PhysHandle) -> MpiResult<()> {
         'register: loop {
             self.cross();
             let ticket = self.lower.collective_register(phys)?;
-            let mut backoff = REGISTRATION_BACKOFF_FLOOR;
-            let registered_at = std::time::Instant::now();
             loop {
                 self.cross();
-                if self.lower.collective_ready(phys, ticket)? {
+                if self
+                    .lower
+                    .collective_ready(phys, ticket, INTENT_POLL_SLICE)?
+                {
                     return Ok(());
                 }
                 if self.intent_pending() {
@@ -907,16 +903,6 @@ impl ManaRank {
                     // the next registration or step-boundary safe point.
                     return Ok(());
                 }
-                if registered_at.elapsed() >= REGISTRATION_STALL_BUDGET {
-                    return Err(MpiError::Internal(format!(
-                        "rank {} waited more than {REGISTRATION_STALL_BUDGET:?} for \
-                         a collective registration round to commit — a peer likely \
-                         died before registering",
-                        self.world_rank
-                    )));
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(REGISTRATION_BACKOFF_CAP);
             }
         }
     }

@@ -22,6 +22,7 @@ use net_sim::Endpoint;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Static configuration describing one implementation's personality.
 #[derive(Debug, Clone)]
@@ -1040,15 +1041,20 @@ impl<C: HandleCodec> MpiApi for Engine<C> {
         Ok(seq)
     }
 
-    fn collective_ready(&mut self, comm: PhysHandle, ticket: u64) -> MpiResult<bool> {
+    fn collective_ready(
+        &mut self,
+        comm: PhysHandle,
+        ticket: u64,
+        wait: Duration,
+    ) -> MpiResult<bool> {
         self.check_initialized()?;
         self.require(
             SubsetFeature::CollectiveRegistration,
             "collective registration",
         )?;
-        let (context, _, _, _) = self.registration_route(comm)?;
+        let (context, _, my_index, _) = self.registration_route(comm)?;
         self.endpoint
-            .collective_registration_committed(context, ticket)
+            .collective_registration_committed(context, ticket, my_index, wait)
     }
 
     fn collective_withdraw(&mut self, comm: PhysHandle, ticket: u64) -> MpiResult<bool> {

@@ -25,6 +25,7 @@ use crate::status::Status;
 use crate::subset::SubsetFeature;
 use crate::types::{PhysHandle, Rank, Tag};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Raw contents of a derived datatype as reported by `MPI_Type_get_contents`:
 /// integer arguments, address arguments, and the *physical handles* of the inner
@@ -285,10 +286,18 @@ pub trait MpiApi: Send {
     /// [`MpiApi::collective_withdraw`]. Idempotent per `(comm, ticket)`.
     fn collective_register(&mut self, comm: PhysHandle) -> MpiResult<u64>;
 
-    /// Whether the registration round `ticket` on `comm` has committed (every member
-    /// of the communicator has registered). Once committed, every member must proceed
-    /// into the real collective — withdrawals fail from that point on.
-    fn collective_ready(&mut self, comm: PhysHandle, ticket: u64) -> MpiResult<bool>;
+    /// Wait up to `wait` for the registration round `ticket` on `comm` to commit
+    /// (every member of the communicator has registered); returns whether it did. The
+    /// wait ends as soon as the last member registers. Once committed, every member
+    /// must proceed into the real collective — withdrawals fail from that point on.
+    /// Errors once this rank's registration has waited longer than the lower half's
+    /// blocking timeout: a peer likely died before registering.
+    fn collective_ready(
+        &mut self,
+        comm: PhysHandle,
+        ticket: u64,
+        wait: Duration,
+    ) -> MpiResult<bool>;
 
     /// Atomically withdraw this rank's registration from round `ticket` on `comm`.
     /// `Ok(true)` means the rank is provably outside the collective (safe to service a

@@ -87,7 +87,10 @@ struct CollectiveSlot {
 /// the collective's critical phase.
 struct RegistrationSlot {
     expected: usize,
-    registered: HashSet<usize>,
+    /// Each registrant's member index and when it registered. The time is what the
+    /// registration wait's stall bound is measured from: a re-registration after a
+    /// withdrawal starts a fresh clock, an idempotent re-registration keeps it.
+    registered: HashMap<usize, Instant>,
     /// Once every member has registered the round is *committed*: withdrawals fail
     /// and every member must proceed into the real collective exchange.
     committed: bool,
@@ -148,6 +151,9 @@ struct FabricInner {
     collectives: Mutex<HashMap<(ContextId, u64), CollectiveSlot>>,
     registrations: Mutex<HashMap<(ContextId, u64), RegistrationSlot>>,
     collective_done: Condvar,
+    /// Paired with `registrations`: notified when a registration round commits, and
+    /// on every death or abort, so a rank parked in the registration wait wakes.
+    registration_commit: Condvar,
     next_context: AtomicU64,
     next_seq: AtomicU64,
     /// Per-(source, destination) consecutive delivery sequence counters, row-major
@@ -234,6 +240,7 @@ impl Fabric {
                 collectives: Mutex::new(HashMap::new()),
                 registrations: Mutex::new(HashMap::new()),
                 collective_done: Condvar::new(),
+                registration_commit: Condvar::new(),
                 // Contexts 1 and 2 are reserved for MPI_COMM_WORLD / MPI_COMM_SELF.
                 next_context: AtomicU64::new(16),
                 next_seq: AtomicU64::new(0),
@@ -583,6 +590,7 @@ impl FabricInner {
             slot.arrival.notify_all();
         }
         self.collective_done.notify_all();
+        self.registration_commit.notify_all();
     }
 
     /// Flip the fabric into lively (sliced-wait) mode and wake every parked waiter.
@@ -598,6 +606,7 @@ impl FabricInner {
             slot.arrival.notify_all();
         }
         self.collective_done.notify_all();
+        self.registration_commit.notify_all();
     }
 
     fn start_partition(
@@ -1286,8 +1295,10 @@ impl Endpoint {
     // ------------------------------------------------------------------
 
     /// Announce intent to enter the collective `(context, seq)`. Idempotent: a member
-    /// re-registering (after stepping out for a checkpoint) is a no-op. Once the last
-    /// member registers, the round *commits* and withdrawals start failing.
+    /// re-registering without having withdrawn is a no-op and keeps its original
+    /// registration time. Once the last member registers, the round *commits*,
+    /// withdrawals start failing, and every member parked in
+    /// [`Endpoint::collective_registration_committed`] wakes.
     pub fn collective_register(
         &self,
         context: ContextId,
@@ -1306,7 +1317,7 @@ impl Endpoint {
             .entry((context, seq))
             .or_insert_with(|| RegistrationSlot {
                 expected: comm_size,
-                registered: HashSet::with_capacity(comm_size),
+                registered: HashMap::with_capacity(comm_size),
                 committed: false,
             });
         if slot.expected != comm_size {
@@ -1315,31 +1326,68 @@ impl Endpoint {
                 slot.expected, comm_size
             )));
         }
-        slot.registered.insert(my_index);
-        if slot.registered.len() == slot.expected {
+        slot.registered
+            .entry(my_index)
+            .or_insert_with(crate::clock::now);
+        if !slot.committed && slot.registered.len() == slot.expected {
             slot.committed = true;
+            self.inner.registration_commit.notify_all();
         }
         Ok(())
     }
 
-    /// Whether the registration round `(context, seq)` has committed (every member
-    /// registered). A missing slot reads as not committed: the caller is expected to
-    /// hold a live registration of its own while polling. Errors if this rank has
-    /// died or the job was aborted — a poll loop must observe the failure lane, or
-    /// a rank whose peer died pre-registration would spin until its stall budget.
+    /// Wait up to `wait` for the registration round `(context, seq)` to commit (every
+    /// member registered); returns whether it did. The wait parks on the board and is
+    /// woken by the registration that commits the round, so the first member in
+    /// returns as soon as the last one arrives. A zero `wait` is a plain check.
+    ///
+    /// The caller must hold a live registration of its own as `my_index`. Errors if
+    /// this rank dies or the job is aborted while waiting (a parked rank must observe
+    /// the failure lane), or once this rank's own registration is older than the
+    /// fabric's blocking timeout without the round committing — a peer likely died
+    /// before registering, and the job errors out instead of hanging.
     pub fn collective_registration_committed(
         &self,
         context: ContextId,
         seq: u64,
+        my_index: usize,
+        wait: Duration,
     ) -> MpiResult<bool> {
-        self.inner.tick_wait(self.world_rank)?;
-        Ok(self
-            .inner
-            .registrations
-            .lock()
-            .get(&(context, seq))
-            .map(|slot| slot.committed)
-            .unwrap_or(false))
+        let key = (context, seq);
+        // Clamping loses nothing: the stall bound below ends every wait sooner.
+        let deadline = crate::clock::now() + wait.min(BLOCKING_TIMEOUT);
+        loop {
+            // Beat, pump chaos and notice death or abort on every slice.
+            self.inner.tick_wait(self.world_rank)?;
+            let mut board = self.inner.registrations.lock();
+            let registered_at = match board.get(&key) {
+                Some(slot) if slot.committed => return Ok(true),
+                Some(slot) => slot.registered.get(&my_index).copied(),
+                None => None,
+            };
+            let Some(registered_at) = registered_at else {
+                return Err(MpiError::Internal(format!(
+                    "rank {} waited on collective registration round {key:?} without \
+                     holding a registration in it",
+                    self.world_rank
+                )));
+            };
+            let stall_at = registered_at + BLOCKING_TIMEOUT;
+            let now = crate::clock::now();
+            if now >= stall_at {
+                return Err(MpiError::Internal(format!(
+                    "rank {} waited more than {BLOCKING_TIMEOUT:?} for a collective \
+                     registration round to commit — a peer likely died before \
+                     registering",
+                    self.world_rank
+                )));
+            }
+            if now >= deadline {
+                return Ok(false);
+            }
+            let slice = (deadline.min(stall_at) - now).min(self.wait_slice());
+            self.inner.registration_commit.wait_for(&mut board, slice);
+        }
     }
 
     /// Atomically withdraw `my_index`'s registration from round `(context, seq)`.
@@ -1544,14 +1592,20 @@ mod tests {
         e0.collective_register(40, 0, 0, 3).unwrap();
         e0.collective_register(40, 0, 0, 3).unwrap();
         e1.collective_register(40, 0, 1, 3).unwrap();
-        assert!(!e0.collective_registration_committed(40, 0).unwrap());
+        assert!(!e0
+            .collective_registration_committed(40, 0, 0, Duration::ZERO)
+            .unwrap());
         assert!(e1.collective_withdraw(40, 0, 1).unwrap());
         // After the withdrawal the last member cannot commit the round alone.
         e2.collective_register(40, 0, 2, 3).unwrap();
-        assert!(!e2.collective_registration_committed(40, 0).unwrap());
+        assert!(!e2
+            .collective_registration_committed(40, 0, 2, Duration::ZERO)
+            .unwrap());
         // All three in: committed, withdrawal now fails for everyone.
         e1.collective_register(40, 0, 1, 3).unwrap();
-        assert!(e0.collective_registration_committed(40, 0).unwrap());
+        assert!(e0
+            .collective_registration_committed(40, 0, 0, Duration::ZERO)
+            .unwrap());
         assert!(!e1.collective_withdraw(40, 0, 1).unwrap());
         assert!(!e0.collective_withdraw(40, 0, 0).unwrap());
         // A size disagreement is caught at registration time.
@@ -1575,6 +1629,126 @@ mod tests {
         e0.collective_register(41, 0, 0, 3).unwrap();
         assert!(e0.collective_withdraw(41, 0, 0).unwrap());
         assert_eq!(f.inner.registrations.lock().len(), 0);
+    }
+
+    /// Far longer than any wake-up takes: a parked wait that returns before it has
+    /// run out was woken, not timed out.
+    const PARKED_BOUND: Duration = Duration::from_secs(30);
+
+    /// Register rank 0 of a two-member round on context 50 and park it in the
+    /// registration wait on another thread. Returns once the thread is about to park,
+    /// with the wait's result and how long it waited.
+    fn park_first_registrant(f: &Fabric) -> thread::JoinHandle<(MpiResult<bool>, Duration)> {
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let f = f.clone();
+        let handle = thread::spawn(move || {
+            let e0 = f.endpoint(0).unwrap();
+            e0.collective_register(50, 0, 0, 2).unwrap();
+            ready_tx.send(()).unwrap();
+            let start = crate::clock::now();
+            let result = e0.collective_registration_committed(50, 0, 0, PARKED_BOUND);
+            (result, crate::clock::elapsed_since(start))
+        });
+        ready_rx.recv().unwrap();
+        handle
+    }
+
+    #[test]
+    fn parked_registrant_wakes_when_the_round_commits() {
+        let f = fabric(2);
+        let parked = park_first_registrant(&f);
+        f.endpoint(1)
+            .unwrap()
+            .collective_register(50, 0, 1, 2)
+            .unwrap();
+        let (result, waited) = parked.join().unwrap();
+        assert_eq!(result, Ok(true));
+        assert!(
+            waited < PARKED_BOUND,
+            "woken by the commit, not by its bound"
+        );
+    }
+
+    #[test]
+    fn parked_registrant_wakes_on_its_own_death() {
+        let f = fabric(2);
+        let parked = park_first_registrant(&f);
+        f.kill_rank(0, "test");
+        let (result, waited) = parked.join().unwrap();
+        assert_eq!(result, Err(MpiError::RankKilled { rank: 0 }));
+        assert!(waited < PARKED_BOUND);
+    }
+
+    #[test]
+    fn parked_registrant_wakes_on_job_abort() {
+        let f = fabric(2);
+        let parked = park_first_registrant(&f);
+        f.abort("test abort");
+        let (result, waited) = parked.join().unwrap();
+        assert!(matches!(result, Err(MpiError::JobAborted(_))), "{result:?}");
+        assert!(waited < PARKED_BOUND);
+    }
+
+    #[test]
+    fn registration_time_restarts_only_after_a_withdrawal() {
+        let f = fabric(3);
+        let e0 = f.endpoint(0).unwrap();
+        let registered_at = |f: &Fabric| f.inner.registrations.lock()[&(60, 0)].registered[&0];
+        e0.collective_register(60, 0, 0, 3).unwrap();
+        let first = registered_at(&f);
+        e0.collective_register(60, 0, 0, 3).unwrap();
+        assert_eq!(
+            registered_at(&f),
+            first,
+            "an idempotent re-register keeps its time"
+        );
+        // Rank 1's registration keeps the slot alive across rank 0's withdrawal.
+        f.endpoint(1)
+            .unwrap()
+            .collective_register(60, 0, 1, 3)
+            .unwrap();
+        assert!(e0.collective_withdraw(60, 0, 0).unwrap());
+        while crate::clock::now() == first {
+            std::hint::spin_loop();
+        }
+        e0.collective_register(60, 0, 0, 3).unwrap();
+        assert!(
+            registered_at(&f) > first,
+            "a re-register after withdrawal is fresh"
+        );
+    }
+
+    #[test]
+    fn a_registration_older_than_the_blocking_timeout_stalls_out() {
+        let f = fabric(2);
+        let e0 = f.endpoint(0).unwrap();
+        e0.collective_register(80, 0, 0, 2).unwrap();
+        // Backdate rank 0's registration instead of waiting a minute.
+        let stale = crate::clock::now() - BLOCKING_TIMEOUT;
+        f.inner
+            .registrations
+            .lock()
+            .get_mut(&(80, 0))
+            .unwrap()
+            .registered
+            .insert(0, stale);
+        let err = e0
+            .collective_registration_committed(80, 0, 0, PARKED_BOUND)
+            .unwrap_err();
+        assert!(
+            matches!(&err, MpiError::Internal(m) if m.contains("peer likely died")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn waiting_without_a_registration_is_an_error() {
+        let f = fabric(2);
+        let e0 = f.endpoint(0).unwrap();
+        let err = e0
+            .collective_registration_committed(70, 0, 0, PARKED_BOUND)
+            .unwrap_err();
+        assert!(matches!(err, MpiError::Internal(_)), "{err:?}");
     }
 
     #[test]
